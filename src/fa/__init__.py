@@ -5,7 +5,6 @@ graphs: per-word summaries of every possible run, drawn over the machine's
 own state diagram, that make accept/reject decisions visible at a glance.
 """
 
-from .cli import MachineFileError, machine_to_document, parse_machine_file, parse_machine_text
 from .compgraph import (
     CGEdge,
     ComputationGraph,
@@ -16,6 +15,7 @@ from .compgraph import (
     next_configurations,
     prune_on_accept,
 )
+from .documents import MachineFileError, machine_to_document, parse_machine_file, parse_machine_text
 from .dot import cgraph_summary, cgraph_to_dot, machine_to_dot
 from .execution import (
     ACCEPT,

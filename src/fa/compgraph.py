@@ -12,14 +12,13 @@ graph is pruned down to a single accepting run.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .execution import ACCEPT, REJECT, Config, apply, check_word, show_transitions, step
 from .machines import EMP, Machine, Word, fresh_dead_state
 
 
-@dataclass(frozen=True)
-class CGEdge:
+class CGEdge(NamedTuple):
     """One computation-graph edge.
 
     ``special`` marks an edge whose application leaves the unconsumed input
@@ -39,8 +38,7 @@ class CGEdge:
         return (self.src, self.read, self.dst)
 
 
-@dataclass(frozen=True)
-class ComputationGraph:
+class ComputationGraph(NamedTuple):
     machine: Machine
     word: Word
     edges: tuple[CGEdge, ...]
@@ -89,10 +87,11 @@ def next_configurations(
     seen = set(visited)
     out = []
     for config in frontier:
+        state = config.state
         u = config.unconsumed
         succs = []
         for e in edges:
-            if e.to_dead or e.src != config.state:
+            if e.to_dead or e.src != state:
                 continue
             if e.read == EMP:
                 succs.append(Config(e.dst, u))
@@ -121,8 +120,10 @@ def computation_tree_to_cg_edges(
     visited = list(visited)
     collected: list[CGEdge] = []
     while frontier:
-        level = _dedup(
-            edge for config in frontier for edge in edges_for_configuration(machine, config, dead)
+        level = list(
+            dict.fromkeys(
+                edge for config in frontier for edge in edges_for_configuration(machine, config, dead)
+            )
         )
         collected.extend(level)
         nxt = next_configurations(level, frontier, visited)
@@ -143,7 +144,7 @@ def make_cg_edges(machine: Machine, word: Sequence[str]) -> list[CGEdge]:
     """
     w = check_word(machine, word)
     raw = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
-    edges = _dedup(raw)
+    edges = list(dict.fromkeys(raw))
     special_triples = {e.triple for e in edges if e.special}
     edges = [e for e in edges if e.special or e.triple not in special_triples]
     return prune_on_accept(machine, w, edges)
@@ -190,13 +191,3 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
         highlighted.add(machine.start)
     dead = fresh_dead_state(machine) if any(e.to_dead for e in edges) else None
     return ComputationGraph(machine, w, tuple(edges), frozenset(highlighted), dead, apply(machine, w))
-
-
-def _dedup(items: Iterable[CGEdge]) -> list[CGEdge]:
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out

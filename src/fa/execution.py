@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .machines import DFA, EMP, Machine, Rule, Word
 
@@ -16,16 +16,14 @@ class WordError(ValueError):
     """The input word contains a symbol outside the machine's alphabet."""
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """A machine state together with the input suffix still to be consumed."""
 
     state: str
     unconsumed: Word
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """One computation, as the configurations it passes through, plus its verdict."""
 
     steps: tuple[Config, ...]
@@ -48,10 +46,11 @@ def step(machine: Machine, config: Config) -> list[tuple[Rule, Config]]:
     (EMP) or reads the first unconsumed symbol. An empty suffix admits only
     EMP rules.
     """
+    state = config.state
     u = config.unconsumed
     out = []
     for r in machine.rules:
-        if r.src != config.state:
+        if r.src != state:
             continue
         if r.read == EMP:
             out.append((r, Config(r.dst, u)))
@@ -115,10 +114,10 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
     # total function by construction, so the lookup below never misses
     delta = {(r.src, r.read): r.dst for r in machine.rules}
-    config = Config(machine.start, w)
-    steps = [config]
-    while config.unconsumed:
-        config = Config(delta[config.state, config.unconsumed[0]], config.unconsumed[1:])
-        steps.append(config)
-    verdict = ACCEPT if config.state in machine.finals else REJECT
+    state, u = machine.start, w
+    steps = [Config(state, u)]
+    while u:
+        state, u = delta[state, u[0]], u[1:]
+        steps.append(Config(state, u))
+    verdict = ACCEPT if state in machine.finals else REJECT
     return Trace(tuple(steps), verdict)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 EMP = "EMP"
@@ -36,8 +35,7 @@ class Rule(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(NamedTuple):
     """A deterministic or nondeterministic finite-state automaton.
 
     Component order is preserved from construction (after duplicates are
@@ -53,26 +51,19 @@ class Machine:
     rules: tuple[Rule, ...]
 
 
-def _dedup(items: Iterable) -> list:
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
 def _checked_components(states, sigma, start, finals, rules):
-    states = _dedup(states)
-    if not states:
-        raise ValidationError("empty-state-set", "a machine needs at least one state")
+    # entries are type-checked before dict.fromkeys drops duplicates, so an
+    # unhashable entry is a ValidationError rather than a TypeError
+    states = list(states)
     for name in states:
         if not isinstance(name, str) or not _STATE_NAME.match(name):
             raise ValidationError(
                 "bad-state-name",
                 f"bad state name {name!r}: need a letter followed by letters/digits",
             )
+    states = list(dict.fromkeys(states))
+    if not states:
+        raise ValidationError("empty-state-set", "a machine needs at least one state")
     sigma = list(sigma)
     for sym in sigma:
         if not isinstance(sym, str) or not _SYMBOL.match(sym):
@@ -93,10 +84,11 @@ def _checked_components(states, sigma, start, finals, rules):
         )
     if start not in states:
         raise ValidationError("start-not-in-states", f"start state {start!r} is not in the state set")
-    finals = _dedup(finals)
+    finals = list(finals)
     for q in finals:
         if q not in states:
             raise ValidationError("final-not-in-states", f"final state {q!r} is not in the state set")
+    finals = list(dict.fromkeys(finals))
     checked_rules = []
     for r in rules:
         if not isinstance(r, Rule):
@@ -106,8 +98,12 @@ def _checked_components(states, sigma, start, finals, rules):
                     "malformed-rule", f"transition {r!r} is not a (from, read, to) triple"
                 )
             r = Rule(*parts)
+        if not (isinstance(r.src, str) and isinstance(r.read, str) and isinstance(r.dst, str)):
+            raise ValidationError(
+                "malformed-rule", f"transition {tuple(r)!r} has a part that is not a string"
+            )
         checked_rules.append(r)
-    checked_rules = _dedup(checked_rules)
+    checked_rules = list(dict.fromkeys(checked_rules))
     state_set = set(states)
     for r in checked_rules:
         if r.src not in state_set or r.dst not in state_set:

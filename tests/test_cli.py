@@ -90,6 +90,49 @@ class TestParseMachineFile:
         assert parse_machine_file(str(root / "abstar.json")).kind == "dfa"
 
 
+@pytest.mark.parametrize(
+    "change, code",
+    [
+        ({"states": [["S"], "F"]}, "bad-state-name"),
+        ({"finals": [["F"]]}, "final-not-in-states"),
+        ({"finals": [{"F": 1}]}, "final-not-in-states"),
+        ({"rules": [["S", ["a"], "F"], ["F", "b", "F"]]}, "malformed-rule"),
+        ({"rules": [[["S"], "a", "F"], ["F", "b", "F"]]}, "malformed-rule"),
+        ({"rules": [["S", "a", {"F": 1}], ["F", "b", "F"]]}, "malformed-rule"),
+    ],
+)
+def test_unhashable_entries_are_validation_errors(tmp_path, capsys, change, code):
+    doc = dict(ABSTAR_DOC, **change)
+    with pytest.raises(MachineFileError) as info:
+        parse_machine_text(json.dumps(doc))
+    assert info.value.code == code
+    path = tmp_path / "unhashable.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "fa: " in capsys.readouterr().err
+
+
+class TestUnreadableDocuments:
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(ABSTAR_DOC).replace("F", "\u00e9").encode("latin-1"))
+        with pytest.raises(MachineFileError) as info:
+            parse_machine_file(str(path))
+        assert info.value.code == "unreadable-file"
+        assert main(["validate", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        text = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(MachineFileError) as info:
+            parse_machine_text(text)
+        assert info.value.code == "malformed-document"
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+
 class TestApplyCommand:
     def test_accept(self, two_branch_file, capsys):
         assert main(["apply", two_branch_file, "a", "b", "a", "a", "b"]) == 0
