@@ -120,10 +120,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MachineFileError, ValidationError, WordError) as err:
-        print(f"fa: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (MachineFileError, ValidationError, WordError, OSError) as err:
         print(f"fa: {err}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .execution import ACCEPT, REJECT, Config, apply, check_word, show_transitions, step
+from .execution import ACCEPT, REJECT, Config, accepting_run, check_word, step
 from .machines import EMP, Machine, Word, fresh_dead_state
 
 
@@ -112,8 +112,8 @@ def computation_tree_to_cg_edges(
     (deduplicated within the level), the next frontier is derived from
     those edges, and the old frontier joins the visited accumulator. Stops
     when no new configurations remain. The result may still contain
-    cross-level duplicates and regular/special twins; make_cg_edges cleans
-    those up.
+    cross-level duplicates and regular/special twins; build_computation_graph
+    cleans those up.
     """
     dead = fresh_dead_state(machine)
     frontier = list(frontier)
@@ -134,35 +134,15 @@ def computation_tree_to_cg_edges(
     return collected
 
 
-def make_cg_edges(machine: Machine, word: Sequence[str]) -> list[CGEdge]:
-    """Final edge set of the computation graph for ``machine`` on ``word``.
+def prune_on_accept(run: Sequence[Config], edges: Sequence[CGEdge]) -> list[CGEdge]:
+    """Keep only the edges of the accepting ``run``, a sequence of configurations.
 
-    Traverses the computation tree, removes duplicates, drops any regular
-    edge whose triple also occurs as a special edge (the special one is
-    needed for highlighting), and prunes to a single accepting run when the
-    word is accepted.
+    Only the run's last step stays special, so exactly the state where it
+    ends is highlighted. Dead edges never survive (an accepting run
+    consumes everything).
     """
-    w = check_word(machine, word)
-    raw = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
-    edges = list(dict.fromkeys(raw))
-    special_triples = {e.triple for e in edges if e.special}
-    edges = [e for e in edges if e.special or e.triple not in special_triples]
-    return prune_on_accept(machine, w, edges)
-
-
-def prune_on_accept(machine: Machine, word: Sequence[str], edges: Sequence[CGEdge]) -> list[CGEdge]:
-    """On acceptance, keep only the edges of one accepting run.
-
-    The run is the trace show_transitions returns; only its last step stays
-    special, so exactly the state where it ends is highlighted. Dead edges
-    never survive (an accepting run consumes everything). On rejection the
-    edges pass through unchanged.
-    """
-    if apply(machine, word) == REJECT:
-        return list(edges)
-    trace = show_transitions(machine, word)
     used = []
-    for a, b in zip(trace.steps, trace.steps[1:]):
+    for a, b in zip(run, run[1:]):
         read = EMP if len(a.unconsumed) == len(b.unconsumed) else a.unconsumed[0]
         used.append((a.state, read, b.state))
     if not used:
@@ -179,15 +159,26 @@ def prune_on_accept(machine: Machine, word: Sequence[str], edges: Sequence[CGEdg
 def build_computation_graph(machine: Machine, word: Sequence[str]) -> ComputationGraph:
     """Computation graph of ``machine`` on ``word``.
 
-    Highlights every special-edge destination; on the empty word the start
-    state is highlighted too, since that is where the empty run ends. The
-    verdict always agrees with apply: accepted iff a highlighted state is
-    final.
+    Traverses the computation tree, removes duplicate edges, and drops any
+    regular edge whose triple also occurs as a special edge (the special
+    one is needed for highlighting). When the word is accepted the edges
+    are pruned to the run accepting_run finds, which is also the ndfa trace
+    show_transitions returns. Highlights every special-edge destination; on
+    the empty word the start state is highlighted too, since that is where
+    the empty run ends. The verdict always agrees with apply: accepted iff
+    a highlighted state is final.
     """
     w = check_word(machine, word)
-    edges = make_cg_edges(machine, w)
+    raw = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
+    edges = list(dict.fromkeys(raw))
+    special_triples = {e.triple for e in edges if e.special}
+    edges = [e for e in edges if e.special or e.triple not in special_triples]
+    run = accepting_run(machine, w)
+    if run is not None:
+        edges = prune_on_accept(run, edges)
     highlighted = {e.dst for e in edges if e.special}
     if not w:
         highlighted.add(machine.start)
     dead = fresh_dead_state(machine) if any(e.to_dead for e in edges) else None
-    return ComputationGraph(machine, w, tuple(edges), frozenset(highlighted), dead, apply(machine, w))
+    verdict = REJECT if run is None else ACCEPT
+    return ComputationGraph(machine, w, tuple(edges), frozenset(highlighted), dead, verdict)

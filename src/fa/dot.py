@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .compgraph import ComputationGraph
+from .execution import ACCEPT
 from .machines import EMP, Machine
 
 EPSILON_LABEL = "ε"
@@ -30,6 +31,15 @@ def _node_line(name: str, attrs: list[str]) -> str:
     return f'  "{name}";'
 
 
+def _state_attrs(machine: Machine, q: str) -> list[str]:
+    attrs = []
+    if q in machine.finals:
+        attrs.append("shape=doublecircle")
+    if q == machine.start:
+        attrs.append("color=forestgreen")
+    return attrs
+
+
 def _edge_lines(labelled: dict, dashed_pairs=frozenset()) -> list[str]:
     lines = []
     for src, dst in sorted(labelled):
@@ -45,12 +55,7 @@ def machine_to_dot(machine: Machine) -> str:
     """Transition diagram of the machine in DOT syntax."""
     lines = ["digraph machine {", "  rankdir=LR;", "  node [shape=circle];"]
     for q in sorted(machine.states):
-        attrs = []
-        if q in machine.finals:
-            attrs.append("shape=doublecircle")
-        if q == machine.start:
-            attrs.append("color=forestgreen")
-        lines.append(_node_line(q, attrs))
+        lines.append(_node_line(q, _state_attrs(machine, q)))
     labelled: dict = defaultdict(set)
     for r in machine.rules:
         labelled[r.src, r.dst].add(_display(r.read))
@@ -72,11 +77,7 @@ def cgraph_to_dot(cg: ComputationGraph) -> str:
         nodes.add(e.dst)
     lines = ["digraph computation {", "  rankdir=LR;", "  node [shape=circle];"]
     for q in sorted(nodes):
-        attrs = []
-        if q in machine.finals:
-            attrs.append("shape=doublecircle")
-        if q == machine.start:
-            attrs.append("color=forestgreen")
+        attrs = _state_attrs(machine, q)
         if q in cg.highlighted:
             attrs += ["style=filled", "fillcolor=crimson", "fontcolor=white"]
         lines.append(_node_line(q, attrs))
@@ -100,7 +101,7 @@ def cgraph_summary(cg: ComputationGraph, color: bool = False) -> str:
     verdict = cg.verdict
     ends = ", ".join(sorted(cg.highlighted))
     if color:
-        verdict = f"{_GREEN if verdict == 'accept' else _RED}{verdict}{_RESET}"
+        verdict = f"{_GREEN if verdict == ACCEPT else _RED}{verdict}{_RESET}"
         ends = f"{_RED}{ends}{_RESET}"
     lines = [
         f"verdict: {verdict}",

@@ -1,4 +1,8 @@
-"""Running machines on words: verdicts, configuration traces, single steps."""
+"""Running machines on words: verdicts, configuration traces, single steps.
+
+One breadth-first search, accepting_run, decides words for apply, traces
+ndfa runs for show_transitions and prunes accepted computation graphs.
+"""
 
 from __future__ import annotations
 
@@ -59,26 +63,37 @@ def step(machine: Machine, config: Config) -> list[tuple[Rule, Config]]:
     return out
 
 
-def apply(machine: Machine, word: Sequence[str]) -> str:
-    """Decide the word: ACCEPT iff some computation consumes all of it and
-    ends in a final state.
+def accepting_run(machine: Machine, w: Word) -> tuple[Config, ...] | None:
+    """Configurations of the first accepting computation on the checked word ``w``.
 
-    Breadth-first search over configurations; a visited set keeps any
-    configuration from being explored twice, so EMP-only loops terminate.
+    Breadth-first search over configurations, successors in machine rule
+    order; a visited set keeps any configuration from being explored twice,
+    so EMP-only loops terminate. None means no computation accepts.
     """
-    w = check_word(machine, word)
     first = Config(machine.start, w)
-    seen = {first}
+    parent: dict[Config, Config | None] = {first: None}
     queue = deque([first])
     while queue:
         config = queue.popleft()
         if not config.unconsumed and config.state in machine.finals:
-            return ACCEPT
+            steps = []
+            at: Config | None = config
+            while at is not None:
+                steps.append(at)
+                at = parent[at]
+            return tuple(reversed(steps))
         for _, succ in step(machine, config):
-            if succ not in seen:
-                seen.add(succ)
+            if succ not in parent:
+                parent[succ] = config
                 queue.append(succ)
-    return REJECT
+    return None
+
+
+def apply(machine: Machine, word: Sequence[str]) -> str:
+    """Decide the word: ACCEPT iff some computation consumes all of it and
+    ends in a final state.
+    """
+    return REJECT if accepting_run(machine, check_word(machine, word)) is None else ACCEPT
 
 
 def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
@@ -92,23 +107,8 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
     w = check_word(machine, word)
     if machine.kind == DFA:
         return _dfa_trace(machine, w)
-    first = Config(machine.start, w)
-    parent: dict[Config, Config | None] = {first: None}
-    queue = deque([first])
-    while queue:
-        config = queue.popleft()
-        if not config.unconsumed and config.state in machine.finals:
-            steps = []
-            at: Config | None = config
-            while at is not None:
-                steps.append(at)
-                at = parent[at]
-            return Trace(tuple(reversed(steps)), ACCEPT)
-        for _, succ in step(machine, config):
-            if succ not in parent:
-                parent[succ] = config
-                queue.append(succ)
-    return None
+    run = accepting_run(machine, w)
+    return None if run is None else Trace(run, ACCEPT)
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
+import fa.compgraph
+import fa.execution
 from fa import (
     ACCEPT,
     EMP,
@@ -9,14 +11,10 @@ from fa import (
     Config,
     apply,
     build_computation_graph,
-    computation_tree_to_cg_edges,
-    edges_for_configuration,
-    make_cg_edges,
     make_ndfa,
-    next_configurations,
-    prune_on_accept,
     show_transitions,
 )
+from fa.compgraph import computation_tree_to_cg_edges, edges_for_configuration, next_configurations
 from helpers import computation_census, ndfa_with_word
 
 
@@ -104,8 +102,10 @@ class TestComputationTree:
 
 
 class TestMakeCgEdges:
+    """Edge collection and clean-up, seen through build_computation_graph."""
+
     def test_reject_word_collects_every_computation(self, two_branch):
-        got = make_cg_edges(two_branch, FIG_REJECT_WORD)
+        got = build_computation_graph(two_branch, FIG_REJECT_WORD).edges
         assert set(got) == {
             regular("S", "a", "A"),
             regular("S", "a", "B"),
@@ -122,7 +122,7 @@ class TestMakeCgEdges:
         assert len(got) == len(set(got))
 
     def test_accept_word_keeps_one_run(self, two_branch):
-        got = make_cg_edges(two_branch, FIG_ACCEPT_WORD)
+        got = build_computation_graph(two_branch, FIG_ACCEPT_WORD).edges
         assert set(got) == {
             regular("S", "a", "A"),
             regular("A", "b", "C"),
@@ -131,26 +131,30 @@ class TestMakeCgEdges:
         }
 
     def test_empty_word_without_emp_rules_from_start(self, two_branch):
-        assert make_cg_edges(two_branch, "") == []
+        assert build_computation_graph(two_branch, "").edges == ()
 
     def test_emp_self_loop_word_deduplicates(self):
         m = make_ndfa(["Q"], ["a"], "Q", [], [("Q", EMP, "Q")])
-        assert make_cg_edges(m, "a") == [dead_edge("Q", "a"), regular("Q", EMP, "Q")]
+        got = build_computation_graph(m, "a").edges
+        assert got == (dead_edge("Q", "a"), regular("Q", EMP, "Q"))
 
 
 class TestPruneOnAccept:
+    """Pruning to one accepting run, seen through build_computation_graph."""
+
     def test_rejected_word_leaves_edges_alone(self, two_branch):
-        edges = [regular("S", "a", "A"), dead_edge("S", "b")]
-        assert prune_on_accept(two_branch, tuple("bb"), edges) == edges
+        cg = build_computation_graph(two_branch, "bb")
+        assert cg.verdict == REJECT
+        assert cg.edges == (dead_edge("S", "b"),)
 
     def test_dfa_run_keeps_exactly_word_length_edges(self, abstar):
-        edges = make_cg_edges(abstar, "ab")
+        edges = build_computation_graph(abstar, "ab").edges
         assert len(edges) == 2
         assert set(edges) == {regular("S", "a", "F"), special("F", "b", "F")}
 
     def test_only_the_final_step_stays_special(self, abstar):
         # the run reuses (F, b, F); its last application wins the special flag
-        edges = make_cg_edges(abstar, "abb")
+        edges = build_computation_graph(abstar, "abb").edges
         assert set(edges) == {regular("S", "a", "F"), special("F", "b", "F")}
 
 
@@ -178,6 +182,33 @@ class TestBuildComputationGraph:
         assert cg.verdict == REJECT
         assert cg.highlighted == {"S"}
         assert cg.edges == ()
+
+    def test_accepted_empty_word_highlights_start_and_run_end(self):
+        # the pruned run ends in A, and the empty run ends in S
+        m = make_ndfa(["S", "A"], ["a"], "S", ["A"], [("S", EMP, "A")])
+        cg = build_computation_graph(m, "")
+        assert cg.verdict == ACCEPT
+        assert cg.highlighted == {"S", "A"}
+        assert cg.edges == (special("S", EMP, "A"),)
+
+    def test_one_word_check_and_one_search_per_build(self, two_branch, monkeypatch):
+        calls = {"check_word": 0, "accepting_run": 0}
+
+        def counting(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+
+            return wrapper
+
+        wrappers = {name: counting(name, getattr(fa.execution, name)) for name in calls}
+        for module in (fa.execution, fa.compgraph):
+            for name, wrapper in wrappers.items():
+                monkeypatch.setattr(module, name, wrapper)
+        for word in (FIG_ACCEPT_WORD, FIG_REJECT_WORD):
+            calls.update(check_word=0, accepting_run=0)
+            build_computation_graph(two_branch, word)
+            assert calls == {"check_word": 1, "accepting_run": 1}
 
     def test_emp_chain_on_empty_word_highlights_chain_ends(self):
         m = make_ndfa(["S", "T", "U"], ["a"], "S", [], [("S", EMP, "T"), ("T", EMP, "U")])

@@ -11,8 +11,8 @@ from fa import (
     apply,
     make_ndfa,
     show_transitions,
-    step,
 )
+from fa.execution import step
 from helpers import brute_force_accepts, dfas, ndfa_with_word
 
 

@@ -28,6 +28,42 @@ def test_import_fa_loads_neither_the_cli_nor_dataclasses():
     assert added.isdisjoint({"argparse", "dataclasses", "inspect", "fa.cli"})
 
 
+PUBLIC_API = [
+    "ACCEPT",
+    "CGEdge",
+    "Config",
+    "ComputationGraph",
+    "DFA",
+    "EMP",
+    "Machine",
+    "MachineFileError",
+    "NDFA",
+    "REJECT",
+    "Rule",
+    "Trace",
+    "ValidationError",
+    "WordError",
+    "apply",
+    "build_computation_graph",
+    "cgraph_summary",
+    "cgraph_to_dot",
+    "check_word",
+    "fresh_dead_state",
+    "machine_to_document",
+    "machine_to_dot",
+    "make_dfa",
+    "make_ndfa",
+    "parse_machine_file",
+    "parse_machine_text",
+    "show_transitions",
+]
+
+
+def test_public_api_is_what_users_call():
+    # the graph pipeline's stages and step stay in fa.compgraph and fa.execution
+    assert fa.__all__ == PUBLIC_API
+
+
 def test_every_public_name_imports():
     namespace = {}
     exec("from fa import *", namespace)
