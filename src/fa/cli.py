@@ -38,10 +38,6 @@ def _write_dot(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _want_color() -> bool:
-    return os.environ.get("FA_COLOR") == "always"
-
-
 def _cmd_validate(args) -> int:
     machine = parse_machine_file(args.machine)
     print(
@@ -81,7 +77,7 @@ def _cmd_compgraph(args) -> int:
     cg = build_computation_graph(machine, parse_word_args(args.word))
     _write_dot(cgraph_to_dot(cg), args.out)
     if args.summary:
-        print(cgraph_summary(cg, color=_want_color()))
+        print(cgraph_summary(cg, color=os.environ.get("FA_COLOR") == "always"))
     return 0 if cg.verdict == ACCEPT else 1
 
 

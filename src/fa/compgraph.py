@@ -6,7 +6,7 @@ transitions some run could take. States where a run ends with the whole
 word consumed are the graph's highlighted set; where a run gets stuck
 mid-word, a dashed edge to a fresh dead state consumes the next symbol, so
 nominally every run consumes its entire input. If the word is accepted the
-graph is pruned down to a single accepting run.
+graph is the single accepting run show_transitions traces.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ class CGEdge(NamedTuple):
 
 
 class ComputationGraph(NamedTuple):
+    """The computation graph of ``machine`` on the checked ``word``.
+
+    ``edges`` lists the dead edges first, sorted by (src, read), then the
+    machine rules some run applies (on an accepted word: the rules of the
+    one accepting run), in ``machine.rules`` order. ``highlighted`` holds
+    the states where a run ends with the word consumed, ``dead`` the dead
+    state's name when a dead edge exists (else None), and ``verdict`` is
+    ACCEPT or REJECT, as apply decides.
+    """
+
     machine: Machine
     word: Word
     edges: tuple[CGEdge, ...]
@@ -134,51 +144,34 @@ def computation_tree_to_cg_edges(
     return collected
 
 
-def prune_on_accept(run: Sequence[Config], edges: Sequence[CGEdge]) -> list[CGEdge]:
-    """Keep only the edges of the accepting ``run``, a sequence of configurations.
-
-    Only the run's last step stays special, so exactly the state where it
-    ends is highlighted. Dead edges never survive (an accepting run
-    consumes everything).
-    """
-    used = []
-    for a, b in zip(run, run[1:]):
-        read = EMP if len(a.unconsumed) == len(b.unconsumed) else a.unconsumed[0]
-        used.append((a.state, read, b.state))
-    if not used:
-        return []
-    last = used[-1]
-    kept = set(used)
-    return [
-        CGEdge(e.src, e.read, e.dst, special=(e.triple == last))
-        for e in edges
-        if not e.to_dead and e.triple in kept
-    ]
-
-
 def build_computation_graph(machine: Machine, word: Sequence[str]) -> ComputationGraph:
-    """Computation graph of ``machine`` on ``word``.
+    """Computation graph of ``machine`` on ``word``, edges in ComputationGraph's order.
 
-    Traverses the computation tree, removes duplicate edges, and drops any
-    regular edge whose triple also occurs as a special edge (the special
-    one is needed for highlighting). When the word is accepted the edges
-    are pruned to the run accepting_run finds, which is also the ndfa trace
-    show_transitions returns. Highlights every special-edge destination; on
-    the empty word the start state is highlighted too, since that is where
-    the empty run ends. The verdict always agrees with apply: accepted iff
-    a highlighted state is final.
+    A rejected word keeps the edges of the computation-tree traversal, a
+    triple being special if any of its occurrences is. An accepted word
+    keeps the steps of the run accepting_run finds (the trace
+    show_transitions returns), and only the last step is special. Every
+    special-edge destination is highlighted, and so is the start state on
+    the empty word, where the empty run ends. The verdict agrees with
+    apply: accepted iff a highlighted state is final.
     """
     w = check_word(machine, word)
-    raw = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
-    edges = list(dict.fromkeys(raw))
-    special_triples = {e.triple for e in edges if e.special}
-    edges = [e for e in edges if e.special or e.triple not in special_triples]
     run = accepting_run(machine, w)
-    if run is not None:
-        edges = prune_on_accept(run, edges)
+    marks: dict[tuple[str, str, str], bool] = {}
+    if run is None:
+        for e in computation_tree_to_cg_edges(machine, [Config(machine.start, w)], []):
+            marks[e.triple] = marks.get(e.triple, False) or e.special
+    else:
+        for a, b in zip(run, run[1:]):
+            read = EMP if len(a.unconsumed) == len(b.unconsumed) else a.unconsumed[0]
+            marks[a.state, read, b.state] = b == run[-1]
+    dead: str | None = fresh_dead_state(machine)
+    edges = [CGEdge(*t, marks[t], to_dead=True) for t in sorted(marks) if t[2] == dead]
+    if not edges:
+        dead = None
+    edges += [CGEdge(*r, marks[r]) for r in machine.rules if r in marks]
     highlighted = {e.dst for e in edges if e.special}
     if not w:
         highlighted.add(machine.start)
-    dead = fresh_dead_state(machine) if any(e.to_dead for e in edges) else None
     verdict = REJECT if run is None else ACCEPT
     return ComputationGraph(machine, w, tuple(edges), frozenset(highlighted), dead, verdict)

@@ -1,7 +1,7 @@
 """Running machines on words: verdicts, configuration traces, single steps.
 
 One breadth-first search, accepting_run, decides words for apply, traces
-ndfa runs for show_transitions and prunes accepted computation graphs.
+ndfa runs for show_transitions and gives accepted graphs their edges.
 """
 
 from __future__ import annotations

@@ -92,7 +92,7 @@ def _checked_components(states, sigma, start, finals, rules):
     checked_rules = []
     for r in rules:
         if not isinstance(r, Rule):
-            parts = tuple(r)
+            parts = () if isinstance(r, str) else tuple(r)
             if len(parts) != 3:
                 raise ValidationError(
                     "malformed-rule", f"transition {r!r} is not a (from, read, to) triple"

@@ -129,6 +129,13 @@ def dfas(draw, max_states=4):
     return make_dfa(states, sigma, start, finals, rules)
 
 
+@st.composite
+def dfa_with_word(draw, max_states=4, max_word=6):
+    machine = draw(dfas(max_states=max_states))
+    word = tuple(draw(st.lists(st.sampled_from(list(machine.sigma)), max_size=max_word)))
+    return machine, word
+
+
 _NODE_LINE = re.compile(r'^  "([^"]+)"(?: \[(.*)\])?;$')
 _EDGE_LINE = re.compile(r'^  "([^"]+)" -> "([^"]+)" \[label="([^"]*)"(, style=dashed)?\];$')
 

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fa.compgraph
 import fa.execution
@@ -15,7 +16,7 @@ from fa import (
     show_transitions,
 )
 from fa.compgraph import computation_tree_to_cg_edges, edges_for_configuration, next_configurations
-from helpers import computation_census, ndfa_with_word
+from helpers import computation_census, dfa_with_word, ndfa_with_word
 
 
 def regular(src, read, dst):
@@ -184,7 +185,7 @@ class TestBuildComputationGraph:
         assert cg.edges == ()
 
     def test_accepted_empty_word_highlights_start_and_run_end(self):
-        # the pruned run ends in A, and the empty run ends in S
+        # the accepting run ends in A, and the empty run ends in S
         m = make_ndfa(["S", "A"], ["a"], "S", ["A"], [("S", EMP, "A")])
         cg = build_computation_graph(m, "")
         assert cg.verdict == ACCEPT
@@ -192,7 +193,8 @@ class TestBuildComputationGraph:
         assert cg.edges == (special("S", EMP, "A"),)
 
     def test_one_word_check_and_one_search_per_build(self, two_branch, monkeypatch):
-        calls = {"check_word": 0, "accepting_run": 0}
+        # an accepted graph is read off its run, so only a rejected word is traversed
+        calls = {"check_word": 0, "accepting_run": 0, "computation_tree_to_cg_edges": 0}
 
         def counting(name, func):
             def wrapper(*args):
@@ -201,14 +203,18 @@ class TestBuildComputationGraph:
 
             return wrapper
 
-        wrappers = {name: counting(name, getattr(fa.execution, name)) for name in calls}
         for module in (fa.execution, fa.compgraph):
-            for name, wrapper in wrappers.items():
-                monkeypatch.setattr(module, name, wrapper)
-        for word in (FIG_ACCEPT_WORD, FIG_REJECT_WORD):
-            calls.update(check_word=0, accepting_run=0)
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for word, traversals in ((FIG_ACCEPT_WORD, 0), (FIG_REJECT_WORD, 1)):
+            calls.update(dict.fromkeys(calls, 0))
             build_computation_graph(two_branch, word)
-            assert calls == {"check_word": 1, "accepting_run": 1}
+            assert calls == {
+                "check_word": 1,
+                "accepting_run": 1,
+                "computation_tree_to_cg_edges": traversals,
+            }
 
     def test_emp_chain_on_empty_word_highlights_chain_ends(self):
         m = make_ndfa(["S", "T", "U"], ["a"], "S", [], [("S", EMP, "T"), ("T", EMP, "U")])
@@ -268,6 +274,17 @@ def test_non_dead_edges_are_machine_rules(machine_word):
         if e.to_dead:
             # dead edges are special, consume a real symbol, and end in the fresh state
             assert e.special and e.read != EMP and e.dst == cg.dead
+
+
+@given(st.one_of(ndfa_with_word(), dfa_with_word()))
+@settings(max_examples=300)
+def test_edges_are_dead_edges_by_src_read_then_rules_in_machine_order(machine_word):
+    machine, word = machine_word
+    cg = build_computation_graph(machine, word)
+    dead = sorted((e for e in cg.edges if e.to_dead), key=lambda e: (e.src, e.read))
+    used = {e.triple for e in cg.edges if not e.to_dead}
+    expected = [e.triple for e in dead] + [tuple(r) for r in machine.rules if r in used]
+    assert [e.triple for e in cg.edges] == expected
 
 
 @given(ndfa_with_word())

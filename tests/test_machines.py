@@ -41,6 +41,11 @@ class TestMakeNdfa:
         code = err_code(make_ndfa, ["S"], ["a"], "S", [], [("S", "z", "S")])
         assert code == "rule-reads-unknown-symbol"
 
+    @pytest.mark.parametrize("rule", ["SaS", ("S", "a"), ("S", "a", "S", "S")])
+    def test_rule_that_is_not_a_triple_is_malformed(self, rule):
+        # a 3-character string must not be split into (from, read, to)
+        assert err_code(make_ndfa, ["S"], ["a"], "S", [], [rule]) == "malformed-rule"
+
     def test_empty_state_set(self):
         assert err_code(make_ndfa, [], ["a"], "S", [], []) == "empty-state-set"
 
