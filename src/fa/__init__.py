@@ -3,50 +3,57 @@
 Build DFAs and NDFAs, decide words, trace runs, and generate computation
 graphs: per-word summaries of every possible run, drawn over the machine's
 own state diagram, that make accept/reject decisions visible at a glance.
+
+``import fa`` loads no submodule. A public name imports the submodule that
+defines it on first access and is then an ordinary attribute of ``fa``.
 """
 
-from .compgraph import CGEdge, ComputationGraph, build_computation_graph
-from .documents import MachineFileError, machine_to_document, parse_machine_file, parse_machine_text
-from .dot import cgraph_summary, cgraph_to_dot, machine_to_dot
-from .execution import ACCEPT, REJECT, Config, Trace, WordError, apply, check_word, show_transitions
-from .machines import (
-    DFA,
-    EMP,
-    NDFA,
-    Machine,
-    Rule,
-    ValidationError,
-    fresh_dead_state,
-    make_dfa,
-    make_ndfa,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "ACCEPT",
-    "CGEdge",
-    "Config",
-    "ComputationGraph",
-    "DFA",
-    "EMP",
-    "Machine",
-    "MachineFileError",
-    "NDFA",
-    "REJECT",
-    "Rule",
-    "Trace",
-    "ValidationError",
-    "WordError",
-    "apply",
-    "build_computation_graph",
-    "cgraph_summary",
-    "cgraph_to_dot",
-    "check_word",
-    "fresh_dead_state",
-    "machine_to_document",
-    "machine_to_dot",
-    "make_dfa",
-    "make_ndfa",
-    "parse_machine_file",
-    "parse_machine_text",
-    "show_transitions",
-]
+# public name -> the submodule that defines it
+_OWNER = {
+    "ACCEPT": "execution",
+    "CGEdge": "compgraph",
+    "Config": "execution",
+    "ComputationGraph": "compgraph",
+    "DFA": "machines",
+    "EMP": "machines",
+    "Machine": "machines",
+    "MachineFileError": "documents",
+    "NDFA": "machines",
+    "REJECT": "execution",
+    "Rule": "machines",
+    "Trace": "execution",
+    "ValidationError": "machines",
+    "WordError": "execution",
+    "apply": "execution",
+    "build_computation_graph": "compgraph",
+    "cgraph_summary": "dot",
+    "cgraph_to_dot": "dot",
+    "check_word": "execution",
+    "fresh_dead_state": "machines",
+    "machine_to_document": "documents",
+    "machine_to_dot": "dot",
+    "make_dfa": "machines",
+    "make_ndfa": "machines",
+    "parse_machine_file": "documents",
+    "parse_machine_text": "documents",
+    "show_transitions": "execution",
+}
+_SUBMODULES = frozenset(_OWNER.values())
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value  # later lookups never reach this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

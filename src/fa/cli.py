@@ -3,6 +3,8 @@
 Machines live in JSON files; words are given as whitespace-separated
 symbols, with the literal EMP (or no symbols at all) standing for the
 empty word. Exit codes: 0 accept, 1 reject, 2 usage or validation error.
+The graph modules are imported by the commands that draw graphs, so
+validate, apply and trace never load them.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .compgraph import build_computation_graph
 from .documents import MachineFileError, parse_machine_file
-from .dot import cgraph_summary, cgraph_to_dot, machine_to_dot
 from .execution import ACCEPT, WordError, apply, show_transitions
 from .machines import EMP, ValidationError
 
@@ -25,7 +25,9 @@ def parse_word_args(tokens: Sequence[str]) -> tuple[str, ...]:
     if not symbols or symbols == [EMP]:
         return ()
     if EMP in symbols:
-        raise WordError("EMP denotes the empty word and cannot be mixed with symbols")
+        raise WordError(
+            "emp-mixed-with-symbols", "EMP denotes the empty word and cannot be mixed with symbols"
+        )
     return tuple(symbols)
 
 
@@ -67,12 +69,17 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .dot import machine_to_dot
+
     machine = parse_machine_file(args.machine)
     _write_dot(machine_to_dot(machine), args.out)
     return 0
 
 
 def _cmd_compgraph(args) -> int:
+    from .compgraph import build_computation_graph
+    from .dot import cgraph_summary, cgraph_to_dot
+
     machine = parse_machine_file(args.machine)
     cg = build_computation_graph(machine, parse_word_args(args.word))
     _write_dot(cgraph_to_dot(cg), args.out)

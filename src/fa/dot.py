@@ -9,10 +9,13 @@ sorted order and parallel edges are merged into one comma-joined label.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import TYPE_CHECKING
 
-from .compgraph import ComputationGraph
 from .execution import ACCEPT
 from .machines import EMP, Machine
+
+if TYPE_CHECKING:  # fa graph draws machines without loading the graph builder
+    from .compgraph import ComputationGraph
 
 EPSILON_LABEL = "ε"
 

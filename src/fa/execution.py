@@ -10,14 +10,22 @@ from collections import deque
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .machines import DFA, EMP, Machine, Rule, Word
+from .machines import DFA, EMP, Machine, Rule, ValidationError, Word
 
 ACCEPT = "accept"
 REJECT = "reject"
 
 
 class WordError(ValueError):
-    """The input word contains a symbol outside the machine's alphabet."""
+    """A word that cannot be run, e.g. one with a symbol outside the alphabet.
+
+    ``code`` carries a stable kebab-case identifier for the problem, e.g.
+    ``"symbol-not-in-sigma"``.
+    """
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class Config(NamedTuple):
@@ -39,7 +47,9 @@ def check_word(machine: Machine, word: Sequence[str]) -> Word:
     w = tuple(word)
     for sym in w:
         if sym not in machine.sigma:
-            raise WordError(f"word symbol {sym!r} is not in the machine's alphabet")
+            raise WordError(
+                "symbol-not-in-sigma", f"word symbol {sym!r} is not in the machine's alphabet"
+            )
     return w
 
 
@@ -112,12 +122,17 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
-    # total function by construction, so the lookup below never misses
+    # make_dfa completes the function; only a Machine built directly can miss
     delta = {(r.src, r.read): r.dst for r in machine.rules}
     state, u = machine.start, w
     steps = [Config(state, u)]
     while u:
-        state, u = delta[state, u[0]], u[1:]
+        try:
+            state, u = delta[state, u[0]], u[1:]
+        except KeyError:
+            raise ValidationError(
+                "incomplete-dfa", f"dfa has no transition from {state} on {u[0]}"
+            ) from None
         steps.append(Config(state, u))
     verdict = ACCEPT if state in machine.finals else REJECT
     return Trace(tuple(steps), verdict)

@@ -15,6 +15,7 @@ Word = tuple[str, ...]
 
 _STATE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _SYMBOL = re.compile(r"[a-z0-9]\Z")
+_new_tuple = tuple.__new__  # makes a Rule without NamedTuple's Python-level __new__
 
 
 class ValidationError(ValueError):
@@ -89,30 +90,41 @@ def _checked_components(states, sigma, start, finals, rules):
         if q not in states:
             raise ValidationError("final-not-in-states", f"final state {q!r} is not in the state set")
     finals = list(dict.fromkeys(finals))
-    checked_rules = []
+    # every rule is type-checked before any is checked against the states and
+    # the alphabet; dict keys drop duplicates, first occurrence wins
+    checked_rules = {}
     for r in rules:
-        if not isinstance(r, Rule):
+        if type(r) is list and len(r) == 3:  # how machine documents spell a rule
+            rule = _new_tuple(Rule, r)
+        elif isinstance(r, Rule):
+            rule = r
+        else:
             parts = () if isinstance(r, str) else tuple(r)
             if len(parts) != 3:
                 raise ValidationError(
                     "malformed-rule", f"transition {r!r} is not a (from, read, to) triple"
                 )
-            r = Rule(*parts)
-        if not (isinstance(r.src, str) and isinstance(r.read, str) and isinstance(r.dst, str)):
-            raise ValidationError(
-                "malformed-rule", f"transition {tuple(r)!r} has a part that is not a string"
-            )
-        checked_rules.append(r)
-    checked_rules = list(dict.fromkeys(checked_rules))
+            rule = _new_tuple(Rule, parts)
+        src, read, dst = rule
+        # exact types are the cheap test; subclasses of str pass the second one
+        if type(src) is not str or type(read) is not str or type(dst) is not str:
+            if not (isinstance(src, str) and isinstance(read, str) and isinstance(dst, str)):
+                raise ValidationError(
+                    "malformed-rule", f"transition {tuple(rule)!r} has a part that is not a string"
+                )
+        checked_rules[rule] = None
     state_set = set(states)
-    for r in checked_rules:
-        if r.src not in state_set or r.dst not in state_set:
+    readable = {*sigma, EMP}
+    for src, read, dst in checked_rules:
+        if src not in state_set or dst not in state_set:
             raise ValidationError(
-                "rule-references-unknown-state", f"transition {tuple(r)} mentions an unknown state"
+                "rule-references-unknown-state",
+                f"transition {(src, read, dst)} mentions an unknown state",
             )
-        if r.read != EMP and r.read not in sigma:
+        if read not in readable:
             raise ValidationError(
-                "rule-reads-unknown-symbol", f"transition {tuple(r)} reads a symbol outside the alphabet"
+                "rule-reads-unknown-symbol",
+                f"transition {(src, read, dst)} reads a symbol outside the alphabet",
             )
     return tuple(states), tuple(sigma), start, tuple(finals), tuple(checked_rules)
 

@@ -4,12 +4,13 @@ import pytest
 
 from fa import (
     MachineFileError,
+    WordError,
     machine_to_document,
     machine_to_dot,
     parse_machine_file,
     parse_machine_text,
 )
-from fa.cli import main
+from fa.cli import main, parse_word_args
 from conftest import TWO_BRANCH_RULES
 
 TWO_BRANCH_DOC = {
@@ -160,6 +161,11 @@ class TestApplyCommand:
 
     def test_emp_mixed_with_symbols_is_a_usage_error(self, two_branch_file):
         assert main(["apply", two_branch_file, "EMP", "a"]) == 2
+
+    def test_emp_mixed_with_symbols_has_a_code(self):
+        with pytest.raises(WordError) as info:
+            parse_word_args(["a EMP"])
+        assert info.value.code == "emp-mixed-with-symbols"
 
     def test_bad_machine_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -6,7 +6,9 @@ from fa import (
     EMP,
     REJECT,
     Config,
+    Machine,
     Rule,
+    ValidationError,
     WordError,
     apply,
     make_ndfa,
@@ -52,8 +54,10 @@ class TestApply:
         assert apply(m, "a") == REJECT
 
     def test_word_symbol_outside_alphabet(self, abstar):
-        with pytest.raises(WordError):
+        with pytest.raises(WordError) as info:
             apply(abstar, "az")
+        assert info.value.code == "symbol-not-in-sigma"
+        assert str(info.value) == "word symbol 'z' is not in the machine's alphabet"
 
     def test_emp_cycle_terminates(self):
         m = make_ndfa(["P", "Q"], ["a"], "P", ["Q"], [("P", EMP, "Q"), ("Q", EMP, "P")])
@@ -80,6 +84,15 @@ class TestShowTransitions:
             ("ds", ()),
         ]
         assert trace.verdict == REJECT
+
+    def test_directly_built_incomplete_dfa_names_the_missing_pair(self):
+        # make_dfa would complete it; a Machine built directly skips that
+        m = Machine("dfa", ("S", "T"), ("a", "b"), "S", ("T",), (Rule("S", "a", "T"),))
+        assert show_transitions(m, "a").verdict == ACCEPT
+        with pytest.raises(ValidationError) as info:
+            show_transitions(m, "ab")
+        assert info.value.code == "incomplete-dfa"
+        assert str(info.value) == "dfa has no transition from T on b"
 
     def test_ndfa_reject_has_no_trace(self, two_branch):
         assert show_transitions(two_branch, "bb") is None

@@ -46,6 +46,20 @@ class TestMakeNdfa:
         # a 3-character string must not be split into (from, read, to)
         assert err_code(make_ndfa, ["S"], ["a"], "S", [], [rule]) == "malformed-rule"
 
+    def test_malformed_rule_wins_over_an_earlier_unknown_state(self):
+        rules = [("S", "a", "Q"), ("S", "z", "S"), ("S", 1, "S")]
+        assert err_code(make_ndfa, ["S"], ["a"], "S", [], rules) == "malformed-rule"
+        assert err_code(make_ndfa, ["S"], ["a"], "S", [], rules[:2]) == "rule-references-unknown-state"
+        assert err_code(make_ndfa, ["S"], ["a"], "S", [], rules[1:2]) == "rule-reads-unknown-symbol"
+
+    def test_document_rules_become_rules(self):
+        class Name(str):
+            pass
+
+        m = make_ndfa(["S"], ["a"], "S", [], [["S", "a", "S"], [Name("S"), EMP, "S"]])
+        assert [type(r) for r in m.rules] == [Rule, Rule]
+        assert m.rules == (Rule("S", "a", "S"), Rule("S", EMP, "S"))
+
     def test_empty_state_set(self):
         assert err_code(make_ndfa, [], ["a"], "S", [], []) == "empty-state-set"
 

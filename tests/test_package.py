@@ -3,29 +3,78 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fa
 
 SRC = Path(fa.__file__).resolve().parent.parent
-
-LIST_IMPORTED = (
-    "import json, sys\n"
-    "before = set(sys.modules)\n"
-    "import fa\n"
-    "print(json.dumps(sorted(set(sys.modules) - before)))\n"
-)
+MACHINES = SRC.parent / "machines"
 
 
-def test_import_fa_loads_neither_the_cli_nor_dataclasses():
+def modules_added_by(code, *argv):
+    """Modules that ``code`` adds to sys.modules in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", LIST_IMPORTED],
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         check=True,
         cwd=SRC,
     ).stdout
-    added = set(json.loads(out))
-    assert "fa.machines" in added
-    assert added.isdisjoint({"argparse", "dataclasses", "inspect", "fa.cli"})
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_import_fa_loads_neither_the_cli_nor_dataclasses():
+    added = modules_added_by("import fa")
+    assert "fa" in added
+    assert not {name for name in added if name.startswith("fa.")}
+    assert added.isdisjoint({"argparse", "dataclasses", "inspect"})
+
+
+def test_parsing_a_machine_loads_only_documents_and_machines():
+    code = "import fa\nfa.parse_machine_text(open(sys.argv[1]).read())"
+    added = modules_added_by(code, MACHINES / "demo-ndfa.json")
+    assert {name for name in added if name.startswith("fa.")} == {"fa.documents", "fa.machines"}
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (["validate", "demo-ndfa.json"], {"fa.compgraph", "fa.dot"}),
+        (["apply", "demo-ndfa.json", "a", "b"], {"fa.compgraph", "fa.dot"}),
+        (["trace", "abstar.json", "a", "b"], {"fa.compgraph", "fa.dot"}),
+        (["graph", "abstar.json"], {"fa.compgraph"}),
+    ],
+)
+def test_cli_commands_load_no_graph_module_they_do_not_use(argv, unloaded):
+    code = "from fa.cli import main\nmain(sys.argv[1:])"
+    added = modules_added_by(code, argv[0], MACHINES / argv[1], *argv[2:])
+    assert "fa.cli" in added
+    assert added.isdisjoint(unloaded)
+
+
+def test_first_use_binds_the_name_and_submodules_resolve():
+    code = (
+        "import fa\n"
+        "assert 'apply' not in vars(fa)\n"
+        "fa.apply\n"
+        "assert 'apply' in vars(fa)\n"
+        "assert fa.execution.step.__module__ == 'fa.execution'\n"
+    )
+    added = modules_added_by(code)
+    assert {name for name in added if name.startswith("fa.")} == {"fa.execution", "fa.machines"}
+
+
+def test_dir_lists_the_public_names_and_submodules():
+    listed = set(dir(fa))
+    assert set(fa.__all__) <= listed
+    assert {"compgraph", "documents", "dot", "execution", "machines"} <= listed
+    assert not hasattr(fa, "no_such_name")
 
 
 PUBLIC_API = [
