@@ -25,7 +25,7 @@ _OWNER = {
     "Rule": "machines",
     "Trace": "execution",
     "ValidationError": "machines",
-    "WordError": "execution",
+    "WordError": "machines",
     "apply": "execution",
     "build_computation_graph": "compgraph",
     "cgraph_summary": "dot",

@@ -3,8 +3,8 @@
 Machines live in JSON files; words are given as whitespace-separated
 symbols, with the literal EMP (or no symbols at all) standing for the
 empty word. Exit codes: 0 accept, 1 reject, 2 usage or validation error.
-The graph modules are imported by the commands that draw graphs, so
-validate, apply and trace never load them.
+Each command imports the modules it runs: validate and graph never load
+fa.execution, and validate, apply and trace never load the graph modules.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import sys
 from collections.abc import Sequence
 
 from .documents import MachineFileError, parse_machine_file
-from .execution import ACCEPT, WordError, apply, show_transitions
-from .machines import EMP, ValidationError
+from .machines import EMP, ValidationError, WordError
 
 
 def parse_word_args(tokens: Sequence[str]) -> tuple[str, ...]:
@@ -50,6 +49,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .execution import ACCEPT, apply
+
     machine = parse_machine_file(args.machine)
     verdict = apply(machine, parse_word_args(args.word))
     print(verdict)
@@ -57,6 +58,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .execution import ACCEPT, show_transitions
+
     machine = parse_machine_file(args.machine)
     trace = show_transitions(machine, parse_word_args(args.word))
     if trace is None:
@@ -79,6 +82,7 @@ def _cmd_graph(args) -> int:
 def _cmd_compgraph(args) -> int:
     from .compgraph import build_computation_graph
     from .dot import cgraph_summary, cgraph_to_dot
+    from .execution import ACCEPT
 
     machine = parse_machine_file(args.machine)
     cg = build_computation_graph(machine, parse_word_args(args.word))

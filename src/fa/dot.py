@@ -11,10 +11,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
-from .execution import ACCEPT
 from .machines import EMP, Machine
 
-if TYPE_CHECKING:  # fa graph draws machines without loading the graph builder
+if TYPE_CHECKING:  # fa graph draws machines without loading the executor or the graph builder
     from .compgraph import ComputationGraph
 
 EPSILON_LABEL = "ε"
@@ -104,6 +103,8 @@ def cgraph_summary(cg: ComputationGraph, color: bool = False) -> str:
     verdict = cg.verdict
     ends = ", ".join(sorted(cg.highlighted))
     if color:
+        from .execution import ACCEPT  # loaded already by the build that made cg
+
         verdict = f"{_GREEN if verdict == ACCEPT else _RED}{verdict}{_RESET}"
         ends = f"{_RED}{ends}{_RESET}"
     lines = [

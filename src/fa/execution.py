@@ -1,31 +1,23 @@
 """Running machines on words: verdicts, configuration traces, single steps.
 
-One breadth-first search, accepting_run, decides words for apply, traces
-ndfa runs for show_transitions and gives accepted graphs their edges.
+apply decides a word by forward ε-closed state sets (the subset
+construction, simulated lazily), so it keeps no configurations. One
+breadth-first search over configurations, accepting_run, traces ndfa runs
+for show_transitions and gives accepted graphs their edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
-from .machines import DFA, EMP, Machine, Rule, ValidationError, Word
+from .machines import DFA, EMP, Machine, Rule, ValidationError, Word, WordError
 
 ACCEPT = "accept"
 REJECT = "reject"
 
-
-class WordError(ValueError):
-    """A word that cannot be run, e.g. one with a symbol outside the alphabet.
-
-    ``code`` carries a stable kebab-case identifier for the problem, e.g.
-    ``"symbol-not-in-sigma"``.
-    """
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+_MEMO_LIMIT = 256  # (state set, symbol) steps kept per word; bounds memory by O(|Q|)
 
 
 class Config(NamedTuple):
@@ -99,11 +91,59 @@ def accepting_run(machine: Machine, w: Word) -> tuple[Config, ...] | None:
     return None
 
 
+def _state_sets(machine: Machine, w: Word) -> Iterator[frozenset[str]]:
+    """The forward ε-closed state sets S_0, S_1, ... of the checked word ``w``.
+
+    S_0 is the EMP-closure of the start state and S_{i+1} the EMP-closure of
+    the states S_i reaches by reading w[i], so S_i holds exactly the states
+    some computation is in with w[i:] left to consume. The sets stop after
+    the first empty one, else after S_n. Steps are memoised on
+    (S_i, w[i]), so once the sets repeat a symbol costs one dict lookup.
+    """
+    emp: dict[str, list[str]] = {}
+    moves: dict[str, dict[str, list[str]]] = {}  # symbol -> state -> destinations
+    for src, read, dst in machine.rules:
+        if read == EMP:
+            emp.setdefault(src, []).append(dst)
+        else:
+            moves.setdefault(read, {}).setdefault(src, []).append(dst)
+
+    def closure(states: set[str]) -> frozenset[str]:
+        todo = list(states)
+        while todo:
+            for dst in emp.get(todo.pop(), ()):
+                if dst not in states:
+                    states.add(dst)
+                    todo.append(dst)
+        return frozenset(states)
+
+    current = closure({machine.start})
+    yield current
+    memo: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+    for sym in w:
+        if not current:
+            return
+        key = (current, sym)
+        nxt = memo.get(key)
+        if nxt is None:
+            if len(memo) == _MEMO_LIMIT:
+                memo.clear()
+            row = moves.get(sym, {})
+            nxt = memo[key] = closure({d for q in current for d in row.get(q, ())})
+        current = nxt
+        yield current
+
+
 def apply(machine: Machine, word: Sequence[str]) -> str:
     """Decide the word: ACCEPT iff some computation consumes all of it and
     ends in a final state.
+
+    The decision walks the forward state sets, so it takes O(|w|·|rules|)
+    time and O(|Q|) memory and builds no configuration.
     """
-    return REJECT if accepting_run(machine, check_word(machine, word)) is None else ACCEPT
+    for last in _state_sets(machine, check_word(machine, word)):
+        pass
+    return REJECT if last.isdisjoint(machine.finals) else ACCEPT
 
 
 def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
@@ -122,8 +162,19 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
-    # make_dfa completes the function; only a Machine built directly can miss
-    delta = {(r.src, r.read): r.dst for r in machine.rules}
+    # make_dfa checks the rules and completes the function; a Machine built
+    # directly can have EMP rules, two rules on one pair, or none
+    delta: dict[tuple[str, str], str] = {}
+    for src, read, dst in machine.rules:
+        if read == EMP:
+            raise ValidationError(
+                "nondeterministic-rules",
+                f"EMP transition {(src, read, dst)} is not allowed in a dfa",
+            )
+        if delta.setdefault((src, read), dst) != dst:
+            raise ValidationError(
+                "nondeterministic-rules", f"more than one transition from {src} on {read}"
+            )
     state, u = machine.start, w
     steps = [Config(state, u)]
     while u:

@@ -1,4 +1,4 @@
-"""Immutable finite-state machine values and their validating constructors."""
+"""Immutable finite-state machine values, their validating constructors and the input errors."""
 
 from __future__ import annotations
 
@@ -23,6 +23,18 @@ class ValidationError(ValueError):
 
     ``code`` carries a stable kebab-case identifier for the violation,
     e.g. ``"start-not-in-states"``.
+    """
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+class WordError(ValueError):
+    """A word that cannot be run, e.g. one with a symbol outside the alphabet.
+
+    ``code`` carries a stable kebab-case identifier for the problem, e.g.
+    ``"symbol-not-in-sigma"``.
     """
 
     def __init__(self, code: str, message: str) -> None:

@@ -216,6 +216,24 @@ class TestBuildComputationGraph:
                 "computation_tree_to_cg_edges": traversals,
             }
 
+    def test_apply_checks_the_word_once_and_runs_no_search(self, two_branch, monkeypatch):
+        # apply decides by forward state sets; only traces and graphs search
+        calls = {"check_word": 0, "accepting_run": 0}
+
+        def counting(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
+        for word, verdict in ((FIG_ACCEPT_WORD, ACCEPT), (FIG_REJECT_WORD, REJECT)):
+            calls.update(dict.fromkeys(calls, 0))
+            assert apply(two_branch, word) == verdict
+            assert calls == {"check_word": 1, "accepting_run": 0}
+
     def test_emp_chain_on_empty_word_highlights_chain_ends(self):
         m = make_ndfa(["S", "T", "U"], ["a"], "S", [], [("S", EMP, "T"), ("T", EMP, "U")])
         cg = build_computation_graph(m, "")

@@ -1,5 +1,9 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fa import (
     ACCEPT,
@@ -14,8 +18,8 @@ from fa import (
     make_ndfa,
     show_transitions,
 )
-from fa.execution import step
-from helpers import brute_force_accepts, dfas, ndfa_with_word
+from fa.execution import accepting_run, step
+from helpers import brute_force_accepts, dfa_with_word, dfas, ndfa_with_word
 
 
 def assert_valid_trace(machine, word, trace):
@@ -94,6 +98,30 @@ class TestShowTransitions:
         assert info.value.code == "incomplete-dfa"
         assert str(info.value) == "dfa has no transition from T on b"
 
+    @pytest.mark.parametrize(
+        "rules,word,message",
+        [
+            (
+                (Rule("S", "a", "T"), Rule("S", "a", "U")),
+                "a",
+                "more than one transition from S on a",
+            ),
+            (
+                (Rule("S", EMP, "T"),),
+                "",
+                "EMP transition ('S', 'EMP', 'T') is not allowed in a dfa",
+            ),
+        ],
+    )
+    def test_directly_built_nondeterministic_dfa_is_refused(self, rules, word, message):
+        # make_dfa would refuse it; apply follows every rule, a dfa trace cannot
+        m = Machine("dfa", ("S", "T", "U"), ("a",), "S", ("T",), rules)
+        assert apply(m, word) == ACCEPT
+        with pytest.raises(ValidationError) as info:
+            show_transitions(m, word)
+        assert info.value.code == "nondeterministic-rules"
+        assert str(info.value) == message
+
     def test_ndfa_reject_has_no_trace(self, two_branch):
         assert show_transitions(two_branch, "bb") is None
 
@@ -149,3 +177,79 @@ def test_dfa_step_is_deterministic(machine):
     for state in machine.states:
         assert len(step(machine, Config(state, word))) == 1
         assert step(machine, Config(state, ())) == []
+
+
+@given(st.one_of(ndfa_with_word(), dfa_with_word()))
+def test_apply_accepts_iff_the_configuration_search_finds_a_run(machine_word):
+    machine, word = machine_word
+    assert (apply(machine, word) == ACCEPT) == (accepting_run(machine, word) is not None)
+
+
+# The configuration search that decided words before needed 92.8 MiB
+# (accepted) and 46.4 MiB (rejected) of traced peak on two_branch at n = 3000.
+PEAK_LIMIT = 8 * 2**20
+
+
+def traced_apply(machine, word):
+    """apply's verdict and the tracemalloc peak it reached, in bytes."""
+    tracemalloc.start()
+    try:
+        verdict = apply(machine, word)
+        return verdict, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def walked_ndfa(seed):
+    """A random 300-state ndfa with 1-2 rules per (state, symbol), and an accepted word.
+
+    The word is a seeded walk of 10^5 symbols through the rules, EMP rules
+    included; the state the walk ends in is made final.
+    """
+    rng = random.Random(seed)
+    states = [f"Q{i}" for i in range(300)]
+    rules = [
+        (q, s, rng.choice(states)) for q in states for s in "ab" for _ in range(rng.randint(1, 2))
+    ]
+    rules += [(q, EMP, rng.choice(states)) for q in states if rng.random() < 0.2]
+    leaving = {}
+    for rule in rules:
+        leaving.setdefault(rule[0], []).append(rule)
+    state, word = states[0], []
+    while len(word) < 10**5:
+        _, read, state = rng.choice(leaving[state])
+        if read != EMP:
+            word.append(read)
+    finals = {state, *rng.sample(states, 20)}
+    return make_ndfa(states, ["a", "b"], states[0], sorted(finals), rules), tuple(word)
+
+
+class TestLongWords:
+    @pytest.mark.parametrize("unit,expected", [("aba", ACCEPT), ("abb", REJECT)])
+    def test_two_branch_at_a_hundred_thousand_symbols(self, two_branch, unit, expected):
+        word = tuple(unit) * 33_333  # 99,999 symbols
+        verdict, peak = traced_apply(two_branch, word)
+        assert verdict == expected
+        assert peak < PEAK_LIMIT
+
+    @pytest.mark.parametrize("last", ["a", "b"])
+    def test_state_sets_that_never_repeat(self, last):
+        # accepts iff the k-th symbol from the end is a: S_i remembers the last
+        # k symbols, so nearly every step meets a state set it has not seen,
+        # and only the memo's size limit keeps memory flat
+        k = 16
+        states = [f"Q{i}" for i in range(k + 1)]
+        rules = [("Q0", "a", "Q0"), ("Q0", "b", "Q0"), ("Q0", "a", "Q1")]
+        rules += [(states[i], s, states[i + 1]) for i in range(1, k) for s in "ab"]
+        machine = make_ndfa(states, ["a", "b"], "Q0", [states[k]], rules)
+        rng = random.Random(5)
+        word = tuple(rng.choice("ab") for _ in range(30_000 - k)) + (last,) + ("b",) * (k - 1)
+        verdict, peak = traced_apply(machine, word)
+        assert verdict == (ACCEPT if last == "a" else REJECT)
+        assert peak < PEAK_LIMIT
+
+    def test_random_ndfa_with_300_states_at_a_hundred_thousand_symbols(self):
+        machine, word = walked_ndfa(seed=3)
+        verdict, peak = traced_apply(machine, word)
+        assert verdict == ACCEPT
+        assert peak < PEAK_LIMIT

@@ -45,10 +45,10 @@ def test_parsing_a_machine_loads_only_documents_and_machines():
 @pytest.mark.parametrize(
     "argv,unloaded",
     [
-        (["validate", "demo-ndfa.json"], {"fa.compgraph", "fa.dot"}),
+        (["validate", "demo-ndfa.json"], {"fa.compgraph", "fa.dot", "fa.execution"}),
         (["apply", "demo-ndfa.json", "a", "b"], {"fa.compgraph", "fa.dot"}),
         (["trace", "abstar.json", "a", "b"], {"fa.compgraph", "fa.dot"}),
-        (["graph", "abstar.json"], {"fa.compgraph"}),
+        (["graph", "abstar.json"], {"fa.compgraph", "fa.execution"}),
     ],
 )
 def test_cli_commands_load_no_graph_module_they_do_not_use(argv, unloaded):
@@ -68,6 +68,11 @@ def test_first_use_binds_the_name_and_submodules_resolve():
     )
     added = modules_added_by(code)
     assert {name for name in added if name.startswith("fa.")} == {"fa.execution", "fa.machines"}
+
+
+def test_word_error_is_one_class_wherever_it_is_imported():
+    # the CLI catches it from fa.machines without loading fa.execution
+    assert fa.WordError is fa.execution.WordError is fa.machines.WordError
 
 
 def test_dir_lists_the_public_names_and_submodules():
