@@ -12,7 +12,7 @@ from importlib import import_module as _import_module
 
 # public name -> the submodule that defines it
 _OWNER = {
-    "ACCEPT": "execution",
+    "ACCEPT": "machines",
     "CGEdge": "compgraph",
     "Config": "execution",
     "ComputationGraph": "compgraph",
@@ -21,7 +21,7 @@ _OWNER = {
     "Machine": "machines",
     "MachineFileError": "documents",
     "NDFA": "machines",
-    "REJECT": "execution",
+    "REJECT": "machines",
     "Rule": "machines",
     "Trace": "execution",
     "ValidationError": "machines",

@@ -15,7 +15,7 @@ import sys
 from collections.abc import Sequence
 
 from .documents import MachineFileError, parse_machine_file
-from .machines import EMP, ValidationError, WordError
+from .machines import ACCEPT, EMP, ValidationError, WordError
 
 
 def parse_word_args(tokens: Sequence[str]) -> tuple[str, ...]:
@@ -49,7 +49,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    from .execution import ACCEPT, apply
+    from .execution import apply
 
     machine = parse_machine_file(args.machine)
     verdict = apply(machine, parse_word_args(args.word))
@@ -58,7 +58,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .execution import ACCEPT, show_transitions
+    from .execution import show_transitions
 
     machine = parse_machine_file(args.machine)
     trace = show_transitions(machine, parse_word_args(args.word))
@@ -82,7 +82,6 @@ def _cmd_graph(args) -> int:
 def _cmd_compgraph(args) -> int:
     from .compgraph import build_computation_graph
     from .dot import cgraph_summary, cgraph_to_dot
-    from .execution import ACCEPT
 
     machine = parse_machine_file(args.machine)
     cg = build_computation_graph(machine, parse_word_args(args.word))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING
 
-from .machines import EMP, Machine
+from .machines import ACCEPT, EMP, Machine
 
 if TYPE_CHECKING:  # fa graph draws machines without loading the executor or the graph builder
     from .compgraph import ComputationGraph
@@ -103,8 +103,6 @@ def cgraph_summary(cg: ComputationGraph, color: bool = False) -> str:
     verdict = cg.verdict
     ends = ", ".join(sorted(cg.highlighted))
     if color:
-        from .execution import ACCEPT  # loaded already by the build that made cg
-
         verdict = f"{_GREEN if verdict == ACCEPT else _RED}{verdict}{_RESET}"
         ends = f"{_RED}{ends}{_RESET}"
     lines = [

@@ -12,12 +12,23 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
-from .machines import DFA, EMP, Machine, Rule, ValidationError, Word, WordError
+from .machines import (
+    ACCEPT,
+    DFA,
+    EMP,
+    REJECT,
+    Machine,
+    Rule,
+    ValidationError,
+    Word,
+    WordError,
+    dfa_delta,
+)
 
-ACCEPT = "accept"
-REJECT = "reject"
-
-_MEMO_LIMIT = 256  # (state set, symbol) steps kept per word; bounds memory by O(|Q|)
+# (state set, symbol) steps kept per word. The limit bounds memory by O(|Q|)
+# when the sets never repeat; words walked on small machines meet a dozen or
+# so distinct steps, so their hit rate does not depend on it.
+_MEMO_LIMIT = 256
 
 
 class Config(NamedTuple):
@@ -164,17 +175,7 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
     # make_dfa checks the rules and completes the function; a Machine built
     # directly can have EMP rules, two rules on one pair, or none
-    delta: dict[tuple[str, str], str] = {}
-    for src, read, dst in machine.rules:
-        if read == EMP:
-            raise ValidationError(
-                "nondeterministic-rules",
-                f"EMP transition {(src, read, dst)} is not allowed in a dfa",
-            )
-        if delta.setdefault((src, read), dst) != dst:
-            raise ValidationError(
-                "nondeterministic-rules", f"more than one transition from {src} on {read}"
-            )
+    delta = dfa_delta(machine.rules)
     state, u = machine.start, w
     steps = [Config(state, u)]
     while u:

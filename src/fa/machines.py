@@ -1,4 +1,4 @@
-"""Immutable finite-state machine values, their validating constructors and the input errors."""
+"""Immutable machine values, their validating constructors, the verdicts and the input errors."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ EMP = "EMP"
 
 DFA = "dfa"
 NDFA = "ndfa"
+
+ACCEPT = "accept"
+REJECT = "reject"
 
 Word = tuple[str, ...]
 
@@ -174,17 +177,7 @@ def make_dfa(
     non-final dead state, which loops to itself on every symbol.
     """
     states, sigma, start, finals, rules = _checked_components(states, sigma, start, finals, rules)
-    covered = set()
-    for r in rules:
-        if r.read == EMP:
-            raise ValidationError(
-                "nondeterministic-rules", f"EMP transition {tuple(r)} is not allowed in a dfa"
-            )
-        if (r.src, r.read) in covered:
-            raise ValidationError(
-                "nondeterministic-rules", f"more than one transition from {r.src} on {r.read}"
-            )
-        covered.add((r.src, r.read))
+    covered = dfa_delta(rules)
     missing = [(q, s) for q in states for s in sigma if (q, s) not in covered]
     if missing:
         if no_dead:
@@ -200,6 +193,26 @@ def make_dfa(
             + tuple(Rule(dead, s, dead) for s in sigma)
         )
     return Machine(DFA, states, sigma, start, finals, rules)
+
+
+def dfa_delta(rules: Iterable[Rule]) -> dict[tuple[str, str], str]:
+    """The transition table {(src, read): dst} of deterministic ``rules``.
+
+    Raises ValidationError("nondeterministic-rules") for an EMP rule or for
+    two rules on one (src, read) that lead to different states.
+    """
+    delta: dict[tuple[str, str], str] = {}
+    for src, read, dst in rules:
+        if read == EMP:
+            raise ValidationError(
+                "nondeterministic-rules",
+                f"EMP transition {(src, read, dst)} is not allowed in a dfa",
+            )
+        if delta.setdefault((src, read), dst) != dst:
+            raise ValidationError(
+                "nondeterministic-rules", f"more than one transition from {src} on {read}"
+            )
+    return delta
 
 
 def _fresh_dead_name(states: Sequence[str]) -> str:

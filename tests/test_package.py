@@ -75,6 +75,12 @@ def test_word_error_is_one_class_wherever_it_is_imported():
     assert fa.WordError is fa.execution.WordError is fa.machines.WordError
 
 
+def test_verdicts_are_one_object_wherever_they_are_imported():
+    # the CLI and fa.dot compare against them without loading fa.execution
+    assert fa.ACCEPT is fa.execution.ACCEPT is fa.machines.ACCEPT
+    assert fa.REJECT is fa.execution.REJECT is fa.machines.REJECT
+
+
 def test_dir_lists_the_public_names_and_submodules():
     listed = set(dir(fa))
     assert set(fa.__all__) <= listed
