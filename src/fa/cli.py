@@ -14,8 +14,8 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .documents import MachineFileError, parse_machine_file
-from .machines import ACCEPT, EMP, ValidationError, WordError
+from .documents import parse_machine_file
+from .machines import ACCEPT, EMP, CodedError, WordError
 
 
 def parse_word_args(tokens: Sequence[str]) -> tuple[str, ...]:
@@ -126,7 +126,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MachineFileError, ValidationError, WordError, OSError) as err:
+    except (CodedError, OSError) as err:
         print(f"fa: {err}", file=sys.stderr)
         return 2
 

@@ -8,23 +8,20 @@ from __future__ import annotations
 
 import json
 
-from .machines import DFA, NDFA, Machine, ValidationError, make_dfa, make_ndfa
+from .machines import DFA, NDFA, CodedError, Machine, ValidationError, make_dfa, make_ndfa
 
 
-class MachineFileError(ValueError):
+class MachineFileError(CodedError):
     """A machine document that cannot be turned into a Machine."""
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 def parse_machine_text(text: str, where: str = "<machine>") -> Machine:
     """Build a Machine from JSON document text.
 
     Expected keys: kind ("dfa"/"ndfa"), states, sigma, start, finals,
-    rules as [from, label, to] triples with "EMP" for a reading-nothing
-    label, and an optional no_dead boolean (dfa only).
+    rules as [from, label, to] lists with "EMP" for a reading-nothing
+    label, and an optional no_dead boolean (dfa only). A rule of any
+    other shape is MachineFileError("malformed-rule").
     """
     try:
         doc = json.loads(text)
@@ -47,11 +44,6 @@ def parse_machine_text(text: str, where: str = "<machine>") -> Machine:
     for key in ("states", "sigma", "finals", "rules"):
         if not isinstance(doc[key], list):
             raise MachineFileError("malformed-document", f"{where}: {key!r} must be a list")
-    for triple in doc["rules"]:
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise MachineFileError(
-                "malformed-document", f"{where}: rule {triple!r} is not a [from, label, to] triple"
-            )
     no_dead = doc.get("no_dead", False)
     if not isinstance(no_dead, bool):
         raise MachineFileError("malformed-document", f"{where}: no_dead must be a boolean")

@@ -21,11 +21,10 @@ _SYMBOL = re.compile(r"[a-z0-9]\Z")
 _new_tuple = tuple.__new__  # makes a Rule without NamedTuple's Python-level __new__
 
 
-class ValidationError(ValueError):
-    """A machine description that does not define a well-formed automaton.
+class CodedError(ValueError):
+    """Bad input, with a stable kebab-case ``code`` naming the problem.
 
-    ``code`` carries a stable kebab-case identifier for the violation,
-    e.g. ``"start-not-in-states"``.
+    The base of ValidationError, WordError and fa.documents.MachineFileError.
     """
 
     def __init__(self, code: str, message: str) -> None:
@@ -33,16 +32,12 @@ class ValidationError(ValueError):
         self.code = code
 
 
-class WordError(ValueError):
-    """A word that cannot be run, e.g. one with a symbol outside the alphabet.
+class ValidationError(CodedError):
+    """A machine description that is not a well-formed automaton, e.g. ``"start-not-in-states"``."""
 
-    ``code`` carries a stable kebab-case identifier for the problem, e.g.
-    ``"symbol-not-in-sigma"``.
-    """
 
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+class WordError(CodedError):
+    """A word that cannot be run, e.g. ``"symbol-not-in-sigma"``."""
 
 
 class Rule(NamedTuple):
@@ -109,17 +104,12 @@ def _checked_components(states, sigma, start, finals, rules):
     # the alphabet; dict keys drop duplicates, first occurrence wins
     checked_rules = {}
     for r in rules:
-        if type(r) is list and len(r) == 3:  # how machine documents spell a rule
-            rule = _new_tuple(Rule, r)
-        elif isinstance(r, Rule):
-            rule = r
-        else:
-            parts = () if isinstance(r, str) else tuple(r)
-            if len(parts) != 3:
-                raise ValidationError(
-                    "malformed-rule", f"transition {r!r} is not a (from, read, to) triple"
-                )
-            rule = _new_tuple(Rule, parts)
+        # documents spell rules as lists: the exact type is the cheap test
+        if (type(r) is not list and not isinstance(r, (list, tuple))) or len(r) != 3:
+            raise ValidationError(
+                "malformed-rule", f"transition {r!r} is not a (from, read, to) list or tuple"
+            )
+        rule = _new_tuple(Rule, r)
         src, read, dst = rule
         # exact types are the cheap test; subclasses of str pass the second one
         if type(src) is not str or type(read) is not str or type(dst) is not str:
@@ -153,10 +143,12 @@ def make_ndfa(
 ) -> Machine:
     """Build a nondeterministic machine.
 
-    Rules are (from, read, to) triples; ``read`` may be EMP for a move that
-    consumes no input. Duplicate states, finals and rules are silently
-    dropped (first occurrence wins). Raises ValidationError if any
-    component is ill-formed.
+    Each rule is a list or tuple of three strings (from, read, to);
+    ``read`` may be EMP for a move that consumes no input. Any other rule
+    shape is ValidationError("malformed-rule"). Duplicate states, finals
+    and rules are silently dropped (first occurrence wins). Raises
+    ValidationError if any component is ill-formed, and TypeError if a
+    component that should be iterable is not.
     """
     return Machine(NDFA, *_checked_components(states, sigma, start, finals, rules))
 
@@ -171,10 +163,12 @@ def make_dfa(
 ) -> Machine:
     """Build a deterministic machine with a total transition function.
 
-    The given rules must contain no EMP labels and at most one rule per
-    (state, symbol) pair. With ``no_dead`` set they must already cover
-    every pair; otherwise any missing pairs are routed to a fresh
-    non-final dead state, which loops to itself on every symbol.
+    Rules have the shape make_ndfa takes, a list or tuple of three
+    strings, but no EMP labels and at most one rule per (state, symbol)
+    pair. With ``no_dead`` set they must already cover every pair;
+    otherwise any missing pairs are routed to a fresh non-final dead
+    state, which loops to itself on every symbol. Raises ValidationError
+    as make_ndfa does, and TypeError for a non-iterable component.
     """
     states, sigma, start, finals, rules = _checked_components(states, sigma, start, finals, rules)
     covered = dfa_delta(rules)

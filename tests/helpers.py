@@ -14,29 +14,9 @@ STATE_POOL = ("S", "A", "B", "C", "D", "E")
 
 
 def brute_force_accepts(machine, word):
-    """Enumerate every computation, cutting repeats along each path."""
-    finals = set(machine.finals)
-
-    def run(state, suffix, on_path):
-        if not suffix and state in finals:
-            return True
-        for src, read, dst in machine.rules:
-            if src != state:
-                continue
-            if read == EMP:
-                succ = (dst, suffix)
-            elif suffix and read == suffix[0]:
-                succ = (dst, suffix[1:])
-            else:
-                continue
-            if succ in on_path:
-                continue
-            if run(succ[0], succ[1], on_path | {succ}):
-                return True
-        return False
-
-    w = tuple(word)
-    return run(machine.start, w, frozenset({(machine.start, w)}))
+    """Some configuration reachable from (start, word) is final with nothing left."""
+    end_states, _, _ = computation_census(machine, word)
+    return not end_states.isdisjoint(machine.finals)
 
 
 def computation_census(machine, word):

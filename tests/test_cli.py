@@ -100,6 +100,9 @@ class TestParseMachineFile:
         ({"rules": [["S", ["a"], "F"], ["F", "b", "F"]]}, "malformed-rule"),
         ({"rules": [[["S"], "a", "F"], ["F", "b", "F"]]}, "malformed-rule"),
         ({"rules": [["S", "a", {"F": 1}], ["F", "b", "F"]]}, "malformed-rule"),
+        ({"rules": [5]}, "malformed-rule"),
+        ({"rules": [{"S": 0, "a": 1, "F": 2}]}, "malformed-rule"),
+        ({"rules": ["SaS"]}, "malformed-rule"),
     ],
 )
 def test_unhashable_entries_are_validation_errors(tmp_path, capsys, change, code):

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fa import (
@@ -154,6 +154,27 @@ class TestStep:
 
 @given(ndfa_with_word(max_states=5))
 @settings(max_examples=200)
+@example(  # EMP cycles: simple-path enumeration is exponential here, the oracle must not be
+    (
+        make_ndfa(
+            ["S", "A", "B"],
+            ["a"],
+            "S",
+            [],
+            [
+                ("S", "a", "S"),
+                ("S", EMP, "A"),
+                ("S", EMP, "B"),
+                ("A", "a", "S"),
+                ("A", "a", "A"),
+                ("A", "a", "B"),
+                ("A", EMP, "S"),
+                ("B", EMP, "A"),
+            ],
+        ),
+        tuple("aaaaaa"),
+    )
+)
 def test_apply_matches_brute_force(machine_word):
     machine, word = machine_word
     got = apply(machine, word)

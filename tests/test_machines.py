@@ -41,9 +41,23 @@ class TestMakeNdfa:
         code = err_code(make_ndfa, ["S"], ["a"], "S", [], [("S", "z", "S")])
         assert code == "rule-reads-unknown-symbol"
 
-    @pytest.mark.parametrize("rule", ["SaS", ("S", "a"), ("S", "a", "S", "S")])
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "SaS",
+            ("S", "a"),
+            ("S", "a", "S", "S"),
+            {"S", "a", "F"},
+            frozenset({"S", "a", "F"}),
+            {"S": 0, "a": 1, "F": 2},
+            5,
+            None,
+            iter(("S", "a", "S")),
+        ],
+    )
     def test_rule_that_is_not_a_triple_is_malformed(self, rule):
-        # a 3-character string must not be split into (from, read, to)
+        # only a list or tuple is a rule: a string is not split into
+        # (from, read, to), and a set's order depends on PYTHONHASHSEED
         assert err_code(make_ndfa, ["S"], ["a"], "S", [], [rule]) == "malformed-rule"
 
     def test_malformed_rule_wins_over_an_earlier_unknown_state(self):

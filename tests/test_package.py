@@ -124,6 +124,13 @@ def test_public_api_is_what_users_call():
     assert fa.__all__ == PUBLIC_API
 
 
+def test_coded_errors_share_one_base_that_is_not_public():
+    for error in (fa.ValidationError, fa.WordError, fa.MachineFileError):
+        assert error.__bases__ == (fa.machines.CodedError,)
+        assert error("some-code", "message").code == "some-code"
+    assert "CodedError" not in fa.__all__
+
+
 def test_every_public_name_imports():
     namespace = {}
     exec("from fa import *", namespace)
