@@ -150,7 +150,9 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
     A rejected word keeps the edges of the computation-tree traversal, a
     triple being special if any of its occurrences is. An accepted word
     keeps the steps of the run accepting_run finds (the trace
-    show_transitions returns), and only the last step is special. Every
+    show_transitions returns), and only the last step is special. Its
+    edges are read off the run's positions, so an accepted graph slices no
+    suffix and needs only the search's O(|Q|·|w|) memory. Every
     special-edge destination is highlighted, and so is the start state on
     the empty word, where the empty run ends. The verdict agrees with
     apply: accepted iff a highlighted state is final.
@@ -162,9 +164,8 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
         for e in computation_tree_to_cg_edges(machine, [Config(machine.start, w)], []):
             marks[e.triple] = marks.get(e.triple, False) or e.special
     else:
-        for a, b in zip(run, run[1:]):
-            read = EMP if len(a.unconsumed) == len(b.unconsumed) else a.unconsumed[0]
-            marks[a.state, read, b.state] = b == run[-1]
+        for (p, i), (q, j) in zip(run, run[1:]):
+            marks[p, EMP if i == j else w[i], q] = (q, j) == run[-1]
     dead: str | None = fresh_dead_state(machine)
     edges = [CGEdge(*t, marks[t], to_dead=True) for t in sorted(marks) if t[2] == dead]
     if not edges:

@@ -2,8 +2,10 @@
 
 apply decides a word by forward ε-closed state sets (the subset
 construction, simulated lazily), so it keeps no configurations. One
-breadth-first search over configurations, accepting_run, traces ndfa runs
-for show_transitions and gives accepted graphs their edges.
+breadth-first search over (state, position) pairs, accepting_run, traces
+ndfa runs for show_transitions and gives accepted graphs their edges. It
+keeps O(|Q|·|w|) pairs and slices no suffix, so only the Configs of the
+trace it returns pay for suffixes.
 """
 
 from __future__ import annotations
@@ -76,28 +78,44 @@ def step(machine: Machine, config: Config) -> list[tuple[Rule, Config]]:
     return out
 
 
-def accepting_run(machine: Machine, w: Word) -> tuple[Config, ...] | None:
-    """Configurations of the first accepting computation on the checked word ``w``.
+def accepting_run(machine: Machine, w: Word) -> list[tuple[str, int]] | None:
+    """The first accepting computation on the checked word ``w``, as (state, i) pairs.
 
-    Breadth-first search over configurations, successors in machine rule
-    order; a visited set keeps any configuration from being explored twice,
-    so EMP-only loops terminate. None means no computation accepts.
+    ``i`` counts the symbols consumed so far, so (q, i) stands for
+    Config(q, w[i:]). Breadth-first search over these pairs with a FIFO
+    queue, successors in machine rule order as step gives them; a pair is
+    queued at most once, so EMP-only loops terminate and the search keeps
+    O(|Q|·|w|) pairs. None means no computation accepts.
     """
-    first = Config(machine.start, w)
-    parent: dict[Config, Config | None] = {first: None}
+    n = len(w)
+    finals = machine.finals
+    first = (machine.start, 0)
+    parent: dict[tuple[str, int], tuple[str, int] | None] = {first: None}
     queue = deque([first])
     while queue:
-        config = queue.popleft()
-        if not config.unconsumed and config.state in machine.finals:
-            steps = []
-            at: Config | None = config
+        at = queue.popleft()
+        state, i = at
+        if i == n and state in finals:
+            run = []
             while at is not None:
-                steps.append(at)
+                run.append(at)
                 at = parent[at]
-            return tuple(reversed(steps))
-        for _, succ in step(machine, config):
+            run.reverse()
+            return run
+        sym = w[i] if i < n else None
+        # fields by name: unpacking a Rule, a tuple subclass, allocates an
+        # iterator per rule, which doubled the scan on 150-state machines
+        for r in machine.rules:
+            if r.src != state:
+                continue
+            if r.read == EMP:
+                succ = (r.dst, i)
+            elif r.read == sym:
+                succ = (r.dst, i + 1)
+            else:
+                continue
             if succ not in parent:
-                parent[succ] = config
+                parent[succ] = at
                 queue.append(succ)
     return None
 
@@ -163,13 +181,15 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
     For a dfa this is the unique run, whatever the verdict. For an ndfa a
     trace exists only on acceptance: the first accepting computation found
     by breadth-first search (ties broken by rule order) is returned, and
-    None stands for "rejected, no trace".
+    None stands for "rejected, no trace". The search keeps O(|Q|·|w|)
+    (state, position) pairs; the trace itself is O(|w|²), because each of
+    its Configs holds the suffix still to be read.
     """
     w = check_word(machine, word)
     if machine.kind == DFA:
         return _dfa_trace(machine, w)
     run = accepting_run(machine, w)
-    return None if run is None else Trace(run, ACCEPT)
+    return None if run is None else Trace(tuple(Config(q, w[i:]) for q, i in run), ACCEPT)
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:

@@ -99,29 +99,31 @@ def _checked_components(states, sigma, start, finals, rules):
     for q in finals:
         if q not in states:
             raise ValidationError("final-not-in-states", f"final state {q!r} is not in the state set")
-    finals = list(dict.fromkeys(finals))
+    # start, finals and rules reuse the name objects of ``states``; a parsed
+    # document would otherwise keep one string per mention
+    names = dict(zip(states, states))
+    start = names[start]
+    finals = [names[q] for q in dict.fromkeys(finals)]
     # every rule is type-checked before any is checked against the states and
-    # the alphabet; dict keys drop duplicates, first occurrence wins
-    checked_rules = {}
+    # the alphabet
+    rules = list(rules)
     for r in rules:
         # documents spell rules as lists: the exact type is the cheap test
         if (type(r) is not list and not isinstance(r, (list, tuple))) or len(r) != 3:
             raise ValidationError(
                 "malformed-rule", f"transition {r!r} is not a (from, read, to) list or tuple"
             )
-        rule = _new_tuple(Rule, r)
-        src, read, dst = rule
+        src, read, dst = r
         # exact types are the cheap test; subclasses of str pass the second one
         if type(src) is not str or type(read) is not str or type(dst) is not str:
             if not (isinstance(src, str) and isinstance(read, str) and isinstance(dst, str)):
                 raise ValidationError(
-                    "malformed-rule", f"transition {tuple(rule)!r} has a part that is not a string"
+                    "malformed-rule", f"transition {tuple(r)!r} has a part that is not a string"
                 )
-        checked_rules[rule] = None
-    state_set = set(states)
     readable = {*sigma, EMP}
-    for src, read, dst in checked_rules:
-        if src not in state_set or dst not in state_set:
+    checked_rules = {}  # dict keys drop duplicates, first occurrence wins
+    for src, read, dst in rules:
+        if src not in names or dst not in names:
             raise ValidationError(
                 "rule-references-unknown-state",
                 f"transition {(src, read, dst)} mentions an unknown state",
@@ -131,6 +133,7 @@ def _checked_components(states, sigma, start, finals, rules):
                 "rule-reads-unknown-symbol",
                 f"transition {(src, read, dst)} reads a symbol outside the alphabet",
             )
+        checked_rules[_new_tuple(Rule, (names[src], read, names[dst]))] = None
     return tuple(states), tuple(sigma), start, tuple(finals), tuple(checked_rules)
 
 

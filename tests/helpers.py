@@ -5,6 +5,7 @@ plain traversals, so they share no code with the library paths they check.
 """
 
 import re
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -53,6 +54,41 @@ def computation_census(machine, word):
         if suffix and not consuming:
             stuck.add((state, suffix[0]))
     return end_states, used_rules, stuck
+
+
+def first_accepting_run(machine, word):
+    """The accepting computation a breadth-first search over configurations meets first.
+
+    Configurations are (state, suffix still to read) pairs, searched with a
+    FIFO queue, successors in machine rule order, each queued at most once.
+    Returns the run as a list of configurations, or None when no
+    computation accepts.
+    """
+    first = (machine.start, tuple(word))
+    parent = {first: None}
+    queue = deque([first])
+    while queue:
+        config = queue.popleft()
+        state, suffix = config
+        if not suffix and state in machine.finals:
+            run = []
+            while config is not None:
+                run.append(config)
+                config = parent[config]
+            return run[::-1]
+        for src, read, dst in machine.rules:
+            if src != state:
+                continue
+            if read == EMP:
+                succ = (dst, suffix)
+            elif suffix and read == suffix[0]:
+                succ = (dst, suffix[1:])
+            else:
+                continue
+            if succ not in parent:
+                parent[succ] = config
+                queue.append(succ)
+    return None
 
 
 def random_ndfa(rng, max_states=6, max_rules=12):

@@ -15,17 +15,28 @@ from fa import (
     ValidationError,
     WordError,
     apply,
+    build_computation_graph,
     make_ndfa,
     show_transitions,
 )
 from fa.execution import accepting_run, step
-from helpers import brute_force_accepts, dfa_with_word, dfas, ndfa_with_word
+from helpers import (
+    brute_force_accepts,
+    dfa_with_word,
+    dfas,
+    first_accepting_run,
+    ndfa_with_word,
+)
 
 
 def assert_valid_trace(machine, word, trace):
     assert trace.steps[0] == Config(machine.start, tuple(word))
-    for earlier, later in zip(trace.steps, trace.steps[1:]):
-        assert later in [succ for _, succ in step(machine, earlier)]
+    rules = {tuple(r) for r in machine.rules}
+    for (p, u), (q, v) in zip(trace.steps, trace.steps[1:]):
+        if u == v:
+            assert (p, EMP, q) in rules
+        else:
+            assert u and v == u[1:] and (p, u[0], q) in rules
     if trace.verdict == ACCEPT:
         assert not trace.steps[-1].unconsumed
         assert trace.steps[-1].state in machine.finals
@@ -62,6 +73,29 @@ class TestApply:
             apply(abstar, "az")
         assert info.value.code == "symbol-not-in-sigma"
         assert str(info.value) == "word symbol 'z' is not in the machine's alphabet"
+
+    @pytest.mark.parametrize(
+        "rules,word,expected",
+        [
+            ([("S", EMP, "A"), ("A", EMP, "F")], "", ACCEPT),
+            ([("S", "a", "A"), ("A", EMP, "B"), ("B", EMP, "C"), ("C", EMP, "F")], "a", ACCEPT),
+            (
+                [("S", EMP, "A"), ("A", EMP, "B"), ("B", EMP, "C"), ("C", EMP, "D"), ("D", "a", "F")],
+                "a",
+                ACCEPT,
+            ),
+            # the chain runs around a cycle back past the state it entered by
+            (
+                [("S", "a", "B"), ("A", EMP, "B"), ("B", EMP, "C"), ("C", EMP, "A"), ("A", "a", "F")],
+                "aa",
+                ACCEPT,
+            ),
+            ([("S", EMP, "A"), ("A", EMP, "B"), ("B", EMP, "S"), ("B", "a", "C")], "aa", REJECT),
+        ],
+    )
+    def test_emp_chains_close_transitively(self, rules, word, expected):
+        m = make_ndfa(["S", "A", "B", "C", "D", "F"], ["a"], "S", ["F"], rules)
+        assert apply(m, word) == expected
 
     def test_emp_cycle_terminates(self):
         m = make_ndfa(["P", "Q"], ["a"], "P", ["Q"], [("P", EMP, "Q"), ("Q", EMP, "P")])
@@ -192,6 +226,36 @@ def test_accept_iff_trace_exists(machine_word):
         assert trace is None
 
 
+@given(ndfa_with_word())
+@settings(max_examples=300)
+@example(  # an EMP cycle on the way to the final state
+    (
+        make_ndfa(
+            ["S", "A", "B"],
+            ["a"],
+            "S",
+            ["B"],
+            [("S", EMP, "A"), ("A", EMP, "S"), ("A", "a", "A"), ("A", EMP, "B"), ("B", EMP, "A")],
+        ),
+        tuple("aa"),
+    )
+)
+def test_ndfa_trace_and_accepted_graph_follow_the_first_accepting_run(machine_word):
+    machine, word = machine_word
+    run = first_accepting_run(machine, word)
+    trace = show_transitions(machine, word)
+    if run is None:
+        assert trace is None
+        return
+    assert list(trace.steps) == run
+    steps = [(p, EMP if u == v else u[0], q) for (p, u), (q, v) in zip(run, run[1:])]
+    expected = dict.fromkeys(steps, False)
+    if steps:
+        expected[steps[-1]] = True
+    cg = build_computation_graph(machine, word)
+    assert {e.triple: e.special for e in cg.edges if not e.to_dead} == expected
+
+
 @given(dfas())
 def test_dfa_step_is_deterministic(machine):
     word = tuple(machine.sigma[:1]) * 2
@@ -209,14 +273,17 @@ def test_apply_accepts_iff_the_configuration_search_finds_a_run(machine_word):
 # The configuration search that decided words before needed 92.8 MiB
 # (accepted) and 46.4 MiB (rejected) of traced peak on two_branch at n = 3000.
 PEAK_LIMIT = 8 * 2**20
+# An accepted graph keeps the search's (state, position) pairs, about 37 MiB
+# on two_branch at n = 99,999; a suffix per configuration was quadratic.
+GRAPH_PEAK_LIMIT = 64 * 2**20
 
 
-def traced_apply(machine, word):
-    """apply's verdict and the tracemalloc peak it reached, in bytes."""
+def traced(func, machine, word):
+    """``func(machine, word)`` and the tracemalloc peak it reached, in bytes."""
     tracemalloc.start()
     try:
-        verdict = apply(machine, word)
-        return verdict, tracemalloc.get_traced_memory()[1]
+        result = func(machine, word)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -249,9 +316,15 @@ class TestLongWords:
     @pytest.mark.parametrize("unit,expected", [("aba", ACCEPT), ("abb", REJECT)])
     def test_two_branch_at_a_hundred_thousand_symbols(self, two_branch, unit, expected):
         word = tuple(unit) * 33_333  # 99,999 symbols
-        verdict, peak = traced_apply(two_branch, word)
+        verdict, peak = traced(apply, two_branch, word)
         assert verdict == expected
         assert peak < PEAK_LIMIT
+
+    def test_accepted_graph_at_a_hundred_thousand_symbols(self, two_branch):
+        cg, peak = traced(build_computation_graph, two_branch, tuple("aba") * 33_333)
+        assert cg.verdict == ACCEPT
+        assert cg.edges == build_computation_graph(two_branch, "abaaba").edges
+        assert peak < GRAPH_PEAK_LIMIT
 
     @pytest.mark.parametrize("last", ["a", "b"])
     def test_state_sets_that_never_repeat(self, last):
@@ -265,12 +338,12 @@ class TestLongWords:
         machine = make_ndfa(states, ["a", "b"], "Q0", [states[k]], rules)
         rng = random.Random(5)
         word = tuple(rng.choice("ab") for _ in range(30_000 - k)) + (last,) + ("b",) * (k - 1)
-        verdict, peak = traced_apply(machine, word)
+        verdict, peak = traced(apply, machine, word)
         assert verdict == (ACCEPT if last == "a" else REJECT)
         assert peak < PEAK_LIMIT
 
     def test_random_ndfa_with_300_states_at_a_hundred_thousand_symbols(self):
         machine, word = walked_ndfa(seed=3)
-        verdict, peak = traced_apply(machine, word)
+        verdict, peak = traced(apply, machine, word)
         assert verdict == ACCEPT
         assert peak < PEAK_LIMIT

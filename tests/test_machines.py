@@ -1,7 +1,18 @@
+import json
+
 import pytest
 from hypothesis import given
 
-from fa import EMP, Machine, Rule, ValidationError, fresh_dead_state, make_dfa, make_ndfa
+from fa import (
+    EMP,
+    Machine,
+    Rule,
+    ValidationError,
+    fresh_dead_state,
+    make_dfa,
+    make_ndfa,
+    parse_machine_text,
+)
 from helpers import dfas, ndfas
 
 
@@ -73,6 +84,26 @@ class TestMakeNdfa:
         m = make_ndfa(["S"], ["a"], "S", [], [["S", "a", "S"], [Name("S"), EMP, "S"]])
         assert [type(r) for r in m.rules] == [Rule, Rule]
         assert m.rules == (Rule("S", "a", "S"), Rule("S", EMP, "S"))
+
+    def test_parsed_document_shares_state_names(self):
+        # json.loads gives every mention of a name its own string object
+        doc = {
+            "kind": "ndfa",
+            "states": ["Start", "Next"],
+            "sigma": ["a"],
+            "start": "Start",
+            "finals": ["Next"],
+            "rules": [["Start", "a", "Next"], ["Next", "EMP", "Start"]],
+        }
+        m = parse_machine_text(json.dumps(doc))
+
+        def shared(name):
+            return any(name is q for q in m.states)
+
+        assert shared(m.start)
+        assert all(shared(q) for q in m.finals)
+        for r in m.rules:
+            assert shared(r.src) and shared(r.dst)
 
     def test_empty_state_set(self):
         assert err_code(make_ndfa, [], ["a"], "S", [], []) == "empty-state-set"
