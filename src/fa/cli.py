@@ -15,7 +15,7 @@ import sys
 from collections.abc import Sequence
 
 from .documents import parse_machine_file
-from .machines import ACCEPT, EMP, CodedError, WordError
+from .machines import ACCEPT, EMP, CodedError, Machine, WordError
 
 
 def parse_word_args(tokens: Sequence[str]) -> tuple[str, ...]:
@@ -39,8 +39,7 @@ def _write_dot(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_validate(args) -> int:
-    machine = parse_machine_file(args.machine)
+def _cmd_validate(machine: Machine, args) -> int:
     print(
         f"ok: {machine.kind} with {len(machine.states)} states, "
         f"{len(machine.sigma)} symbols, {len(machine.rules)} rules"
@@ -48,19 +47,17 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(machine: Machine, args) -> int:
     from .execution import apply
 
-    machine = parse_machine_file(args.machine)
     verdict = apply(machine, parse_word_args(args.word))
     print(verdict)
     return 0 if verdict == ACCEPT else 1
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(machine: Machine, args) -> int:
     from .execution import show_transitions
 
-    machine = parse_machine_file(args.machine)
     trace = show_transitions(machine, parse_word_args(args.word))
     if trace is None:
         print("no trace: word rejected by ndfa")
@@ -71,19 +68,17 @@ def _cmd_trace(args) -> int:
     return 0 if trace.verdict == ACCEPT else 1
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(machine: Machine, args) -> int:
     from .dot import machine_to_dot
 
-    machine = parse_machine_file(args.machine)
     _write_dot(machine_to_dot(machine), args.out)
     return 0
 
 
-def _cmd_compgraph(args) -> int:
+def _cmd_compgraph(machine: Machine, args) -> int:
     from .compgraph import build_computation_graph
     from .dot import cgraph_summary, cgraph_to_dot
 
-    machine = parse_machine_file(args.machine)
     cg = build_computation_graph(machine, parse_word_args(args.word))
     _write_dot(cgraph_to_dot(cg), args.out)
     if args.summary:
@@ -125,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(parse_machine_file(args.machine), args)
     except (CodedError, OSError) as err:
         print(f"fa: {err}", file=sys.stderr)
         return 2

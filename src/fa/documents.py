@@ -29,6 +29,8 @@ def parse_machine_text(text: str, where: str = "<machine>") -> Machine:
         raise MachineFileError(
             "malformed-document", f"{where}:{err.lineno}:{err.colno}: not valid JSON: {err.msg}"
         ) from err
+    except ValueError as err:  # e.g. an integer past sys.get_int_max_str_digits()
+        raise MachineFileError("malformed-document", f"{where}: cannot read JSON: {err}") from err
     except RecursionError as err:
         raise MachineFileError("malformed-document", f"{where}: JSON nested too deeply") from err
     if not isinstance(doc, dict):

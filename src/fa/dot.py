@@ -9,6 +9,7 @@ sorted order and parallel edges are merged into one comma-joined label.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Collection, Iterable
 from typing import TYPE_CHECKING
 
 from .machines import ACCEPT, EMP, Machine
@@ -23,47 +24,40 @@ _GREEN = "\x1b[32m"
 _RESET = "\x1b[0m"
 
 
-def _display(read: str) -> str:
-    return EPSILON_LABEL if read == EMP else read
-
-
-def _node_line(name: str, attrs: list[str]) -> str:
-    if attrs:
-        return f'  "{name}" [{", ".join(attrs)}];'
-    return f'  "{name}";'
-
-
-def _state_attrs(machine: Machine, q: str) -> list[str]:
-    attrs = []
-    if q in machine.finals:
-        attrs.append("shape=doublecircle")
-    if q == machine.start:
-        attrs.append("color=forestgreen")
-    return attrs
-
-
-def _edge_lines(labelled: dict, dashed_pairs=frozenset()) -> list[str]:
-    lines = []
-    for src, dst in sorted(labelled):
-        label = ", ".join(sorted(labelled[src, dst]))
-        attrs = [f'label="{label}"']
-        if (src, dst) in dashed_pairs:
-            attrs.append("style=dashed")
-        lines.append(f'  "{src}" -> "{dst}" [{", ".join(attrs)}];')
-    return lines
+def _to_dot(
+    name: str,
+    machine: Machine,
+    nodes: Iterable[str],
+    edges: Iterable[tuple[str, str, str, bool]],
+    highlighted: Collection[str],
+) -> str:
+    """DOT text of ``nodes`` and ``(src, read, dst, to_dead)`` edges drawn over ``machine``."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    for q in sorted(nodes):
+        attrs = []
+        if q in machine.finals:
+            attrs.append("shape=doublecircle")
+        if q == machine.start:
+            attrs.append("color=forestgreen")
+        if q in highlighted:
+            attrs += ["style=filled", "fillcolor=crimson", "fontcolor=white"]
+        lines.append(f'  "{q}" [{", ".join(attrs)}];' if attrs else f'  "{q}";')
+    labels: dict = defaultdict(set)
+    dashed = set()
+    for src, read, dst, to_dead in edges:
+        labels[src, dst].add(EPSILON_LABEL if read == EMP else read)
+        if to_dead:
+            dashed.add((src, dst))
+    for (src, dst), merged in sorted(labels.items()):
+        style = ", style=dashed" if (src, dst) in dashed else ""
+        lines.append(f'  "{src}" -> "{dst}" [label="{", ".join(sorted(merged))}"{style}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def machine_to_dot(machine: Machine) -> str:
     """Transition diagram of the machine in DOT syntax."""
-    lines = ["digraph machine {", "  rankdir=LR;", "  node [shape=circle];"]
-    for q in sorted(machine.states):
-        lines.append(_node_line(q, _state_attrs(machine, q)))
-    labelled: dict = defaultdict(set)
-    for r in machine.rules:
-        labelled[r.src, r.dst].add(_display(r.read))
-    lines += _edge_lines(labelled)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot("machine", machine, machine.states, (r + (False,) for r in machine.rules), ())
 
 
 def cgraph_to_dot(cg: ComputationGraph) -> str:
@@ -72,33 +66,17 @@ def cgraph_to_dot(cg: ComputationGraph) -> str:
     Nodes are the edge endpoints plus the start state; dead edges come out
     dashed, everything else solid.
     """
-    machine = cg.machine
-    nodes = {machine.start}
-    for e in cg.edges:
-        nodes.add(e.src)
-        nodes.add(e.dst)
-    lines = ["digraph computation {", "  rankdir=LR;", "  node [shape=circle];"]
-    for q in sorted(nodes):
-        attrs = _state_attrs(machine, q)
-        if q in cg.highlighted:
-            attrs += ["style=filled", "fillcolor=crimson", "fontcolor=white"]
-        lines.append(_node_line(q, attrs))
-    labelled: dict = defaultdict(set)
-    dashed = set()
-    for e in cg.edges:
-        labelled[e.src, e.dst].add(_display(e.read))
-        if e.to_dead:
-            dashed.add((e.src, e.dst))
-    lines += _edge_lines(labelled, dashed)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = {cg.machine.start, *(e.src for e in cg.edges), *(e.dst for e in cg.edges)}
+    edges = ((e.src, e.read, e.dst, e.to_dead) for e in cg.edges)
+    return _to_dot("computation", cg.machine, nodes, edges, cg.highlighted)
 
 
 def cgraph_summary(cg: ComputationGraph, color: bool = False) -> str:
     """Short plain-text account of a computation graph.
 
     One line each for the verdict, the states where some run ends, the
-    number of machine edges used, and (when present) the dead edges.
+    number of machine edges used, and (when present) the dead edges in
+    ``cg.edges`` order.
     """
     verdict = cg.verdict
     ends = ", ".join(sorted(cg.highlighted))
@@ -110,7 +88,7 @@ def cgraph_summary(cg: ComputationGraph, color: bool = False) -> str:
         f"end states: {ends}",
         f"edges: {sum(1 for e in cg.edges if not e.to_dead)}",
     ]
-    dead = sorted((e.src, e.read, e.dst) for e in cg.edges if e.to_dead)
+    dead = [f"{e.src} -{e.read}-> {e.dst}" for e in cg.edges if e.to_dead]
     if dead:
-        lines.append("dead edges: " + ", ".join(f"{s} -{r}-> {d}" for s, r, d in dead))
+        lines.append("dead edges: " + ", ".join(dead))
     return "\n".join(lines)

@@ -120,7 +120,9 @@ def _checked_components(states, sigma, start, finals, rules):
                 raise ValidationError(
                     "malformed-rule", f"transition {tuple(r)!r} has a part that is not a string"
                 )
-    readable = {*sigma, EMP}
+    # rule reads reuse the symbol objects of ``sigma``, and every EMP is the one EMP
+    symbols = dict(zip(sigma, sigma))
+    symbols[EMP] = EMP
     checked_rules = {}  # dict keys drop duplicates, first occurrence wins
     for src, read, dst in rules:
         if src not in names or dst not in names:
@@ -128,12 +130,12 @@ def _checked_components(states, sigma, start, finals, rules):
                 "rule-references-unknown-state",
                 f"transition {(src, read, dst)} mentions an unknown state",
             )
-        if read not in readable:
+        if read not in symbols:
             raise ValidationError(
                 "rule-reads-unknown-symbol",
                 f"transition {(src, read, dst)} reads a symbol outside the alphabet",
             )
-        checked_rules[_new_tuple(Rule, (names[src], read, names[dst]))] = None
+        checked_rules[_new_tuple(Rule, (names[src], symbols[read], names[dst]))] = None
     return tuple(states), tuple(sigma), start, tuple(finals), tuple(checked_rules)
 
 

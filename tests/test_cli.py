@@ -136,6 +136,33 @@ class TestUnreadableDocuments:
         assert main(["validate", str(path)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    # json.loads raises a bare ValueError past Python's int digit limit, and
+    # json.dumps of such an int raises too, so the text is spelled out by hand
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": 1' + "0" * 4999 + "}",
+            '{"kind": "ndfa", "states": ["S"], "sigma": ["a"], "start": "S", "finals": [],'
+            ' "rules": [["S", 1' + "0" * 4999 + ', "S"]]}',
+        ],
+        ids=["kind", "rules"],
+    )
+    def test_very_long_integer(self, tmp_path, capsys, text):
+        with pytest.raises(MachineFileError) as info:
+            parse_machine_text(text, where="big.json")
+        assert info.value.code == "malformed-document"
+        assert str(info.value).startswith("big.json: ")
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fa: ") and "Traceback" not in err
+
+    def test_syntax_error_keeps_line_and_column(self):
+        with pytest.raises(MachineFileError) as info:
+            parse_machine_text('{\n  "kind": }', where="bad.json")
+        assert str(info.value).startswith("bad.json:2:11: not valid JSON")
+
 
 class TestApplyCommand:
     def test_accept(self, two_branch_file, capsys):
@@ -175,6 +202,13 @@ class TestApplyCommand:
         path.write_text('{"kind": "dfa"}')
         assert main(["apply", str(path), "a"]) == 2
         assert "missing key" in capsys.readouterr().err
+
+    def test_machine_error_comes_before_word_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "dfa"}')
+        for command in ("apply", "trace", "compgraph"):
+            assert main([command, str(path), "EMP", "z"]) == 2
+            assert "missing key" in capsys.readouterr().err
 
 
 class TestTraceCommand:

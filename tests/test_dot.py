@@ -1,13 +1,15 @@
 from hypothesis import given
+from hypothesis import strategies as st
 
 from fa import (
+    EMP,
     build_computation_graph,
     cgraph_summary,
     cgraph_to_dot,
     machine_to_dot,
     make_ndfa,
 )
-from helpers import ndfa_with_word, parse_dot
+from helpers import dfas, ndfa_with_word, ndfas, parse_dot
 
 ABSTAR_DOT = """digraph machine {
   rankdir=LR;
@@ -65,6 +67,19 @@ class TestMachineToDot:
         nodes, edges = parse_dot(machine_to_dot(m))
         assert list(nodes) == ["S"]
         assert edges == {}
+
+
+@given(st.one_of(ndfas(), dfas()))
+def test_machine_diagram_draws_every_state_and_rule(machine):
+    text = machine_to_dot(machine)
+    nodes, edges = parse_dot(text)
+    node_lines = [line for line in text.splitlines() if line.startswith('  "') and "->" not in line]
+    assert len(node_lines) == len(machine.states)
+    assert set(nodes) == set(machine.states)
+    for r in machine.rules:
+        assert ("ε" if r.read == EMP else r.read) in edges[r.src, r.dst][0]
+    assert len(edges) == len({(r.src, r.dst) for r in machine.rules})
+    assert not any(dashed for _, dashed in edges.values())
 
 
 class TestCgraphToDot:

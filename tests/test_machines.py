@@ -104,6 +104,7 @@ class TestMakeNdfa:
         assert all(shared(q) for q in m.finals)
         for r in m.rules:
             assert shared(r.src) and shared(r.dst)
+            assert r.read is EMP if r.read == EMP else any(r.read is s for s in m.sigma)
 
     def test_empty_state_set(self):
         assert err_code(make_ndfa, [], ["a"], "S", [], []) == "empty-state-set"
