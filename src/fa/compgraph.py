@@ -14,23 +14,21 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .execution import ACCEPT, REJECT, Config, accepting_run, check_word, step
+from .execution import ACCEPT, REJECT, Config, accepting_run, check_word, end_states
 from .machines import EMP, Machine, Word, fresh_dead_state
 
 
 class CGEdge(NamedTuple):
     """One computation-graph edge.
 
-    ``special`` marks an edge whose application leaves the unconsumed input
-    empty (its destination gets highlighted); ``to_dead`` marks the dashed
-    edge into the fresh dead state, taken when a run cannot consume the
-    next symbol. Every non-dead edge is one of the machine's own rules.
+    ``to_dead`` marks the dashed edge into the fresh dead state, taken when
+    a run cannot consume the next symbol. Every non-dead edge is one of the
+    machine's own rules.
     """
 
     src: str
     read: str
     dst: str
-    special: bool
     to_dead: bool = False
 
     @property
@@ -58,28 +56,18 @@ class ComputationGraph(NamedTuple):
 
 
 def edges_for_configuration(machine: Machine, config: Config, dead: str) -> list[CGEdge]:
-    """Edges contributed by one configuration.
+    """The rules that apply at ``config``, in machine order, as edges.
 
-    With an empty suffix only EMP rules apply and every resulting edge is
-    special. With one symbol left, consuming rules give special edges and
-    EMP rules regular ones. With more than one symbol left every applicable
-    rule gives a regular edge. Then, on a nonempty suffix: no applicable
-    rule at all yields just the dead edge, and only-EMP rules get the dead
-    edge prepended, since such runs never consume the next symbol here.
+    A rule applies when it leaves ``config.state`` and reads EMP or the
+    next symbol. When a nonempty suffix has no consuming rule, the dead
+    edge comes first: such runs never consume the next symbol here.
     """
-    u = config.unconsumed
-    applicable = [r for r, _ in step(machine, config)]
-    if not u:
-        return [CGEdge(r.src, r.read, r.dst, special=True) for r in applicable]
-    if len(u) == 1:
-        edges = [CGEdge(r.src, r.read, r.dst, special=True) for r in applicable if r.read != EMP]
-        edges += [CGEdge(r.src, r.read, r.dst, special=False) for r in applicable if r.read == EMP]
-    else:
-        edges = [CGEdge(r.src, r.read, r.dst, special=False) for r in applicable]
-    if not edges:
-        return [CGEdge(config.state, u[0], dead, special=True, to_dead=True)]
-    if all(e.read == EMP for e in edges):
-        return [CGEdge(config.state, u[0], dead, special=True, to_dead=True)] + edges
+    state, u = config
+    sym = u[0] if u else EMP
+    reads = (EMP, sym)
+    edges = [CGEdge(*r) for r in machine.rules if r.src == state and r.read in reads]
+    if u and all(e.read == EMP for e in edges):
+        edges.insert(0, CGEdge(state, sym, dead, to_dead=True))
     return edges
 
 
@@ -122,8 +110,7 @@ def computation_tree_to_cg_edges(
     (deduplicated within the level), the next frontier is derived from
     those edges, and the old frontier joins the visited accumulator. Stops
     when no new configurations remain. The result may still contain
-    cross-level duplicates and regular/special twins; build_computation_graph
-    cleans those up.
+    cross-level duplicates; build_computation_graph keeps each edge once.
     """
     dead = fresh_dead_state(machine)
     frontier = list(frontier)
@@ -147,31 +134,32 @@ def computation_tree_to_cg_edges(
 def build_computation_graph(machine: Machine, word: Sequence[str]) -> ComputationGraph:
     """Computation graph of ``machine`` on ``word``, edges in ComputationGraph's order.
 
-    A rejected word keeps the edges of the computation-tree traversal, a
-    triple being special if any of its occurrences is. An accepted word
-    keeps the steps of the run accepting_run finds (the trace
-    show_transitions returns), and only the last step is special. Its
-    edges are read off the run's positions, so an accepted graph slices no
-    suffix and needs only the search's O(|Q|·|w|) memory. Every
-    special-edge destination is highlighted, and so is the start state on
-    the empty word, where the empty run ends. The verdict agrees with
-    apply: accepted iff a highlighted state is final.
+    An accepted word keeps the steps of the run accepting_run finds (the
+    trace show_transitions returns) and highlights the state it ends in.
+    Its edges are read off the run's positions, so an accepted graph
+    slices no suffix and needs only the search's O(|Q|·|w|) memory. A
+    rejected word keeps the edges of the computation-tree traversal and
+    highlights end_states, where its runs end with the word consumed. The
+    dead state is highlighted when a dead edge exists, and so is the start
+    state on the empty word, where the empty run ends. The verdict agrees
+    with apply: accepted iff a highlighted state is final.
     """
     w = check_word(machine, word)
     run = accepting_run(machine, w)
-    marks: dict[tuple[str, str, str], bool] = {}
     if run is None:
-        for e in computation_tree_to_cg_edges(machine, [Config(machine.start, w)], []):
-            marks[e.triple] = marks.get(e.triple, False) or e.special
+        tree = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
+        triples = {e.triple for e in tree}
+        highlighted = set(end_states(machine, w))
     else:
-        for (p, i), (q, j) in zip(run, run[1:]):
-            marks[p, EMP if i == j else w[i], q] = (q, j) == run[-1]
+        triples = {(p, EMP if i == j else w[i], q) for (p, i), (q, j) in zip(run, run[1:])}
+        highlighted = {run[-1][0]}
     dead: str | None = fresh_dead_state(machine)
-    edges = [CGEdge(*t, marks[t], to_dead=True) for t in sorted(marks) if t[2] == dead]
-    if not edges:
+    edges = [CGEdge(*t, to_dead=True) for t in sorted(triples) if t[2] == dead]
+    if edges:
+        highlighted.add(dead)
+    else:
         dead = None
-    edges += [CGEdge(*r, marks[r]) for r in machine.rules if r in marks]
-    highlighted = {e.dst for e in edges if e.special}
+    edges += [CGEdge(*r) for r in machine.rules if r in triples]
     if not w:
         highlighted.add(machine.start)
     verdict = REJECT if run is None else ACCEPT

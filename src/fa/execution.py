@@ -1,7 +1,8 @@
-"""Running machines on words: verdicts, configuration traces, single steps.
+"""Running machines on words: verdicts, end states and configuration traces.
 
-apply decides a word by forward ε-closed state sets (the subset
-construction, simulated lazily), so it keeps no configurations. One
+apply decides a word by the last of its forward ε-closed state sets
+(the subset construction, simulated lazily), so it keeps no
+configurations; end_states gives that set to rejected graphs too. One
 breadth-first search over (state, position) pairs, accepting_run, traces
 ndfa runs for show_transitions and gives accepted graphs their edges. It
 keeps O(|Q|·|w|) pairs and slices no suffix, so only the Configs of the
@@ -20,7 +21,6 @@ from .machines import (
     EMP,
     REJECT,
     Machine,
-    Rule,
     ValidationError,
     Word,
     WordError,
@@ -58,34 +58,14 @@ def check_word(machine: Machine, word: Sequence[str]) -> Word:
     return w
 
 
-def step(machine: Machine, config: Config) -> list[tuple[Rule, Config]]:
-    """All (rule, successor) pairs applicable at ``config``, in machine rule order.
-
-    A rule applies when it leaves ``config.state`` and either reads nothing
-    (EMP) or reads the first unconsumed symbol. An empty suffix admits only
-    EMP rules.
-    """
-    state = config.state
-    u = config.unconsumed
-    out = []
-    for r in machine.rules:
-        if r.src != state:
-            continue
-        if r.read == EMP:
-            out.append((r, Config(r.dst, u)))
-        elif u and r.read == u[0]:
-            out.append((r, Config(r.dst, u[1:])))
-    return out
-
-
 def accepting_run(machine: Machine, w: Word) -> list[tuple[str, int]] | None:
     """The first accepting computation on the checked word ``w``, as (state, i) pairs.
 
     ``i`` counts the symbols consumed so far, so (q, i) stands for
     Config(q, w[i:]). Breadth-first search over these pairs with a FIFO
-    queue, successors in machine rule order as step gives them; a pair is
-    queued at most once, so EMP-only loops terminate and the search keeps
-    O(|Q|·|w|) pairs. None means no computation accepts.
+    queue, successors in machine rule order; a pair is queued at most
+    once, so EMP-only loops terminate and the search keeps O(|Q|·|w|)
+    pairs. None means no computation accepts.
     """
     n = len(w)
     finals = machine.finals
@@ -163,6 +143,14 @@ def _state_sets(machine: Machine, w: Word) -> Iterator[frozenset[str]]:
         yield current
 
 
+def end_states(machine: Machine, w: Word) -> frozenset[str]:
+    """S_n for the checked word ``w``: the states some computation ends in
+    with all of ``w`` consumed, empty when every run gets stuck first."""
+    for last in _state_sets(machine, w):
+        pass
+    return last
+
+
 def apply(machine: Machine, word: Sequence[str]) -> str:
     """Decide the word: ACCEPT iff some computation consumes all of it and
     ends in a final state.
@@ -170,9 +158,8 @@ def apply(machine: Machine, word: Sequence[str]) -> str:
     The decision walks the forward state sets, so it takes O(|w|·|rules|)
     time and O(|Q|) memory and builds no configuration.
     """
-    for last in _state_sets(machine, check_word(machine, word)):
-        pass
-    return REJECT if last.isdisjoint(machine.finals) else ACCEPT
+    ends = end_states(machine, check_word(machine, word))
+    return REJECT if ends.isdisjoint(machine.finals) else ACCEPT
 
 
 def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:

@@ -19,16 +19,8 @@ from fa.compgraph import computation_tree_to_cg_edges, edges_for_configuration, 
 from helpers import computation_census, dfa_with_word, ndfa_with_word
 
 
-def regular(src, read, dst):
-    return CGEdge(src, read, dst, special=False)
-
-
-def special(src, read, dst):
-    return CGEdge(src, read, dst, special=True)
-
-
 def dead_edge(src, read, dst="ds"):
-    return CGEdge(src, read, dst, special=True, to_dead=True)
+    return CGEdge(src, read, dst, to_dead=True)
 
 
 FIG_REJECT_WORD = "abbabb"
@@ -38,16 +30,18 @@ FIG_ACCEPT_WORD = "abaaba"
 class TestEdgesForConfiguration:
     def test_long_suffix_gives_regular_edges(self, two_branch):
         got = edges_for_configuration(two_branch, Config("C", tuple("abb")), "ds")
-        assert got == [regular("C", "a", "E")]
+        assert got == [CGEdge("C", "a", "E")]
 
     def test_only_emp_rules_get_dead_edge_prepended(self, two_branch):
         got = edges_for_configuration(two_branch, Config("D", ("b",)), "ds")
-        assert got == [dead_edge("D", "b"), regular("D", EMP, "S")]
+        assert got == [dead_edge("D", "b"), CGEdge("D", EMP, "S")]
 
     def test_empty_suffix_yields_special_emp_edges_only(self):
         m = make_ndfa(["Q", "R"], ["a"], "Q", [], [("Q", EMP, "R")])
-        assert edges_for_configuration(m, Config("Q", ()), "ds") == [special("Q", EMP, "R")]
+        assert edges_for_configuration(m, Config("Q", ()), "ds") == [CGEdge("Q", EMP, "R")]
         assert edges_for_configuration(m, Config("R", ()), "ds") == []
+        # runs end where these edges lead, so the graph highlights both states
+        assert build_computation_graph(m, "").highlighted == {"Q", "R"}
 
     def test_no_applicable_rules_gives_just_the_dead_edge(self, two_branch):
         got = edges_for_configuration(two_branch, Config("S", tuple("babb")), "ds")
@@ -55,7 +49,9 @@ class TestEdgesForConfiguration:
 
     def test_single_symbol_left_consuming_edges_are_special(self, two_branch):
         got = edges_for_configuration(two_branch, Config("F", ("b",)), "ds")
-        assert got == [special("F", "b", "G")]
+        assert got == [CGEdge("F", "b", "G")]
+        # the run that reads the last b along this edge ends in G
+        assert build_computation_graph(two_branch, "abb").highlighted == {"G", "ds"}
 
 
 class TestNextConfigurations:
@@ -69,12 +65,12 @@ class TestNextConfigurations:
         ]
 
     def test_emp_edge_keeps_suffix(self):
-        assert next_configurations([special("Q", EMP, "R")], [Config("Q", ())], []) == [
+        assert next_configurations([CGEdge("Q", EMP, "R")], [Config("Q", ())], []) == [
             Config("R", ())
         ]
 
     def test_fully_visited_successors_contribute_nothing(self):
-        edges = [regular("Q", EMP, "R")]
+        edges = [CGEdge("Q", EMP, "R")]
         frontier = [Config("Q", ("a",))]
         assert next_configurations(edges, frontier, [Config("R", ("a",))]) == []
 
@@ -87,7 +83,7 @@ class TestComputationTree:
     def test_first_level_contains_consuming_edge(self):
         m = make_ndfa(["S", "F"], ["a", "b"], "S", ["F"], [("S", "a", "F"), ("F", "b", "F")])
         got = computation_tree_to_cg_edges(m, [Config("S", ("a", "b"))], [])
-        assert regular("S", "a", "F") in got
+        assert CGEdge("S", "a", "F") in got
 
     def test_empty_suffix_without_emp_rules_yields_nothing(self):
         m = make_ndfa(["Q"], ["a"], "Q", [], [])
@@ -97,9 +93,9 @@ class TestComputationTree:
         m = make_ndfa(["Q"], ["a"], "Q", [], [("Q", EMP, "Q")])
         got = computation_tree_to_cg_edges(m, [Config("Q", ("a",))], [])
         assert dead_edge("Q", "a") in got
-        assert regular("Q", EMP, "Q") in got
+        assert CGEdge("Q", EMP, "Q") in got
         # one revisit of (Q, "a") happens before the guard kicks in
-        assert got == [dead_edge("Q", "a"), regular("Q", EMP, "Q")] * 2
+        assert got == [dead_edge("Q", "a"), CGEdge("Q", EMP, "Q")] * 2
 
 
 class TestMakeCgEdges:
@@ -108,14 +104,14 @@ class TestMakeCgEdges:
     def test_reject_word_collects_every_computation(self, two_branch):
         got = build_computation_graph(two_branch, FIG_REJECT_WORD).edges
         assert set(got) == {
-            regular("S", "a", "A"),
-            regular("S", "a", "B"),
-            regular("A", "b", "C"),
-            regular("B", "b", "D"),
-            regular("B", "b", "F"),
-            regular("D", EMP, "S"),
-            regular("G", "a", "B"),
-            special("F", "b", "G"),
+            CGEdge("S", "a", "A"),
+            CGEdge("S", "a", "B"),
+            CGEdge("A", "b", "C"),
+            CGEdge("B", "b", "D"),
+            CGEdge("B", "b", "F"),
+            CGEdge("D", EMP, "S"),
+            CGEdge("G", "a", "B"),
+            CGEdge("F", "b", "G"),
             dead_edge("S", "b"),
             dead_edge("C", "b"),
             dead_edge("D", "b"),
@@ -125,10 +121,10 @@ class TestMakeCgEdges:
     def test_accept_word_keeps_one_run(self, two_branch):
         got = build_computation_graph(two_branch, FIG_ACCEPT_WORD).edges
         assert set(got) == {
-            regular("S", "a", "A"),
-            regular("A", "b", "C"),
-            regular("C", "a", "E"),
-            special("E", EMP, "S"),
+            CGEdge("S", "a", "A"),
+            CGEdge("A", "b", "C"),
+            CGEdge("C", "a", "E"),
+            CGEdge("E", EMP, "S"),
         }
 
     def test_empty_word_without_emp_rules_from_start(self, two_branch):
@@ -136,8 +132,9 @@ class TestMakeCgEdges:
 
     def test_emp_self_loop_word_deduplicates(self):
         m = make_ndfa(["Q"], ["a"], "Q", [], [("Q", EMP, "Q")])
-        got = build_computation_graph(m, "a").edges
-        assert got == (dead_edge("Q", "a"), regular("Q", EMP, "Q"))
+        cg = build_computation_graph(m, "a")
+        assert cg.edges == (dead_edge("Q", "a"), CGEdge("Q", EMP, "Q"))
+        assert cg.highlighted == {"ds"}
 
 
 class TestPruneOnAccept:
@@ -147,16 +144,18 @@ class TestPruneOnAccept:
         cg = build_computation_graph(two_branch, "bb")
         assert cg.verdict == REJECT
         assert cg.edges == (dead_edge("S", "b"),)
+        assert cg.highlighted == {"ds"}
 
     def test_dfa_run_keeps_exactly_word_length_edges(self, abstar):
-        edges = build_computation_graph(abstar, "ab").edges
-        assert len(edges) == 2
-        assert set(edges) == {regular("S", "a", "F"), special("F", "b", "F")}
+        cg = build_computation_graph(abstar, "ab")
+        assert cg.edges == (CGEdge("S", "a", "F"), CGEdge("F", "b", "F"))
+        assert cg.highlighted == {"F"}
 
     def test_only_the_final_step_stays_special(self, abstar):
-        # the run reuses (F, b, F); its last application wins the special flag
-        edges = build_computation_graph(abstar, "abb").edges
-        assert set(edges) == {regular("S", "a", "F"), special("F", "b", "F")}
+        # the run reuses (F, b, F): one edge, and only where the run ends is highlighted
+        cg = build_computation_graph(abstar, "abb")
+        assert cg.edges == (CGEdge("S", "a", "F"), CGEdge("F", "b", "F"))
+        assert cg.highlighted == {"F"}
 
 
 class TestBuildComputationGraph:
@@ -190,11 +189,17 @@ class TestBuildComputationGraph:
         cg = build_computation_graph(m, "")
         assert cg.verdict == ACCEPT
         assert cg.highlighted == {"S", "A"}
-        assert cg.edges == (special("S", EMP, "A"),)
+        assert cg.edges == (CGEdge("S", EMP, "A"),)
 
     def test_one_word_check_and_one_search_per_build(self, two_branch, monkeypatch):
         # an accepted graph is read off its run, so only a rejected word is traversed
-        calls = {"check_word": 0, "accepting_run": 0, "computation_tree_to_cg_edges": 0}
+        # and walks its state sets for the states where its runs end
+        calls = {
+            "check_word": 0,
+            "accepting_run": 0,
+            "computation_tree_to_cg_edges": 0,
+            "end_states": 0,
+        }
 
         def counting(name, func):
             def wrapper(*args):
@@ -214,6 +219,7 @@ class TestBuildComputationGraph:
                 "check_word": 1,
                 "accepting_run": 1,
                 "computation_tree_to_cg_edges": traversals,
+                "end_states": traversals,
             }
 
     def test_apply_checks_the_word_once_and_runs_no_search(self, two_branch, monkeypatch):
@@ -250,7 +256,7 @@ def test_verdict_agreement_and_highlight_rule(machine_word):
     assert (cg.verdict == ACCEPT) == bool(cg.highlighted & set(machine.finals))
 
 
-@given(ndfa_with_word())
+@given(st.one_of(ndfa_with_word(), dfa_with_word()))
 @settings(max_examples=300)
 def test_reject_graphs_match_brute_force_census(machine_word):
     machine, word = machine_word
@@ -258,7 +264,8 @@ def test_reject_graphs_match_brute_force_census(machine_word):
         return
     cg = build_computation_graph(machine, word)
     end_states, used_rules, stuck = computation_census(machine, word)
-    assert cg.highlighted - {cg.dead} == end_states
+    assert cg.highlighted == end_states | ({cg.dead} if stuck else set())
+    assert (cg.dead is None) == (not stuck)
     assert {e.triple for e in cg.edges if not e.to_dead} == used_rules
     assert {(e.src, e.read) for e in cg.edges if e.to_dead} == stuck
 
@@ -290,8 +297,8 @@ def test_non_dead_edges_are_machine_rules(machine_word):
     assert {e.triple for e in cg.edges if not e.to_dead} <= rules
     for e in cg.edges:
         if e.to_dead:
-            # dead edges are special, consume a real symbol, and end in the fresh state
-            assert e.special and e.read != EMP and e.dst == cg.dead
+            # dead edges consume a real symbol and end in the fresh, highlighted state
+            assert e.read != EMP and e.dst == cg.dead and cg.dead in cg.highlighted
 
 
 @given(st.one_of(ndfa_with_word(), dfa_with_word()))

@@ -19,11 +19,10 @@ from fa import (
     make_ndfa,
     show_transitions,
 )
-from fa.execution import accepting_run, step
+from fa.execution import accepting_run
 from helpers import (
     brute_force_accepts,
     dfa_with_word,
-    dfas,
     first_accepting_run,
     ndfa_with_word,
 )
@@ -166,26 +165,6 @@ class TestShowTransitions:
         assert [c.state for c in trace.steps] == ["S", "A", "C", "E", "S", "A", "C", "E", "S"]
 
 
-class TestStep:
-    def test_successors_in_rule_order(self, two_branch):
-        word = tuple("abbabb")
-        got = step(two_branch, Config("S", word))
-        assert got == [
-            (Rule("S", "a", "A"), Config("A", word[1:])),
-            (Rule("S", "a", "B"), Config("B", word[1:])),
-        ]
-
-    def test_empty_suffix_admits_only_emp_rules(self, two_branch):
-        assert step(two_branch, Config("G", ())) == []
-        assert step(two_branch, Config("E", ())) == [
-            (Rule("E", EMP, "S"), Config("S", ()))
-        ]
-
-    def test_state_without_rules(self):
-        m = make_ndfa(["S", "T"], ["a"], "S", [], [("S", "a", "T")])
-        assert step(m, Config("T", ("a",))) == []
-
-
 @given(ndfa_with_word(max_states=5))
 @settings(max_examples=200)
 @example(  # EMP cycles: simple-path enumeration is exponential here, the oracle must not be
@@ -248,20 +227,10 @@ def test_ndfa_trace_and_accepted_graph_follow_the_first_accepting_run(machine_wo
         assert trace is None
         return
     assert list(trace.steps) == run
-    steps = [(p, EMP if u == v else u[0], q) for (p, u), (q, v) in zip(run, run[1:])]
-    expected = dict.fromkeys(steps, False)
-    if steps:
-        expected[steps[-1]] = True
+    steps = {(p, EMP if u == v else u[0], q) for (p, u), (q, v) in zip(run, run[1:])}
     cg = build_computation_graph(machine, word)
-    assert {e.triple: e.special for e in cg.edges if not e.to_dead} == expected
-
-
-@given(dfas())
-def test_dfa_step_is_deterministic(machine):
-    word = tuple(machine.sigma[:1]) * 2
-    for state in machine.states:
-        assert len(step(machine, Config(state, word))) == 1
-        assert step(machine, Config(state, ())) == []
+    assert {e.triple for e in cg.edges} == steps
+    assert cg.highlighted == {run[-1][0]} | ({machine.start} if not word else set())
 
 
 @given(st.one_of(ndfa_with_word(), dfa_with_word()))

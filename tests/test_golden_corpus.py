@@ -53,7 +53,7 @@ def record(machine, word):
         "trace": None if trace is None else [
             trace.verdict, [[c.state, "".join(c.unconsumed)] for c in trace.steps]
         ],
-        "edges": [[e.src, e.read, e.dst, int(e.special), int(e.to_dead)] for e in cg.edges],
+        "edges": [[e.src, e.read, e.dst, int(e.to_dead)] for e in cg.edges],
         "highlighted": sorted(cg.highlighted),
         "dead": cg.dead,
         "summary": cgraph_summary(cg),

@@ -64,7 +64,7 @@ def test_first_use_binds_the_name_and_submodules_resolve():
         "assert 'apply' not in vars(fa)\n"
         "fa.apply\n"
         "assert 'apply' in vars(fa)\n"
-        "assert fa.execution.step.__module__ == 'fa.execution'\n"
+        "assert fa.execution.accepting_run.__module__ == 'fa.execution'\n"
     )
     added = modules_added_by(code)
     assert {name for name in added if name.startswith("fa.")} == {"fa.execution", "fa.machines"}
@@ -120,7 +120,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_what_users_call():
-    # the graph pipeline's stages and step stay in fa.compgraph and fa.execution
+    # the graph pipeline's stages and the search stay in fa.compgraph and fa.execution
     assert fa.__all__ == PUBLIC_API
 
 
