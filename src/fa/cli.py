@@ -2,7 +2,8 @@
 
 Machines live in JSON files; words are given as whitespace-separated
 symbols, with the literal EMP (or no symbols at all) standing for the
-empty word. Exit codes: 0 accept, 1 reject, 2 usage or validation error.
+empty word. Exit codes: 0 accept, 1 reject, 2 usage or validation error,
+141 when the reader of standard output has closed it.
 Each command imports the modules it runs: validate and graph never load
 fa.execution, and validate, apply and trace never load the graph modules.
 """
@@ -120,7 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(parse_machine_file(args.machine), args)
+        code = args.func(parse_machine_file(args.machine), args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone, which is not bad input: say nothing,
+        # and let the interpreter's last flush of stdout go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
     except (CodedError, OSError) as err:
         print(f"fa: {err}", file=sys.stderr)
         return 2

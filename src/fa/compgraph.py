@@ -134,23 +134,27 @@ def computation_tree_to_cg_edges(
 def build_computation_graph(machine: Machine, word: Sequence[str]) -> ComputationGraph:
     """Computation graph of ``machine`` on ``word``, edges in ComputationGraph's order.
 
-    An accepted word keeps the steps of the run accepting_run finds (the
+    The verdict comes first, from end_states, as apply decides it. An
+    accepted word keeps the steps of the run accepting_run finds (the
     trace show_transitions returns) and highlights the state it ends in.
     Its edges are read off the run's positions, so an accepted graph
     slices no suffix and needs only the search's O(|Q|·|w|) memory. A
-    rejected word keeps the edges of the computation-tree traversal and
-    highlights end_states, where its runs end with the word consumed. The
-    dead state is highlighted when a dead edge exists, and so is the start
-    state on the empty word, where the empty run ends. The verdict agrees
-    with apply: accepted iff a highlighted state is final.
+    rejected word runs no search: it keeps the edges of the
+    computation-tree traversal and highlights the end states, where its
+    runs end with the word consumed. The dead state is highlighted when a
+    dead edge exists, and so is the start state on the empty word, where
+    the empty run ends. Accepted iff a highlighted state is final.
     """
     w = check_word(machine, word)
-    run = accepting_run(machine, w)
-    if run is None:
+    ends = end_states(machine, w)
+    if ends.isdisjoint(machine.finals):
+        verdict = REJECT
         tree = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
         triples = {e.triple for e in tree}
-        highlighted = set(end_states(machine, w))
+        highlighted = set(ends)
     else:
+        verdict = ACCEPT
+        run = accepting_run(machine, w)
         triples = {(p, EMP if i == j else w[i], q) for (p, i), (q, j) in zip(run, run[1:])}
         highlighted = {run[-1][0]}
     dead: str | None = fresh_dead_state(machine)
@@ -162,5 +166,4 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
     edges += [CGEdge(*r) for r in machine.rules if r in triples]
     if not w:
         highlighted.add(machine.start)
-    verdict = REJECT if run is None else ACCEPT
     return ComputationGraph(machine, w, tuple(edges), frozenset(highlighted), dead, verdict)

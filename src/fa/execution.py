@@ -2,11 +2,12 @@
 
 apply decides a word by the last of its forward ε-closed state sets
 (the subset construction, simulated lazily), so it keeps no
-configurations; end_states gives that set to rejected graphs too. One
-breadth-first search over (state, position) pairs, accepting_run, traces
-ndfa runs for show_transitions and gives accepted graphs their edges. It
-keeps O(|Q|·|w|) pairs and slices no suffix, so only the Configs of the
-trace it returns pay for suffixes.
+configurations. end_states gives that set to ndfa traces and to graphs,
+which decide by it first, so a rejected word runs no search. Only an
+accepted word runs accepting_run, one breadth-first search over (state,
+position) pairs, which traces the run for show_transitions and gives the
+accepted graph its edges. It keeps O(|Q|·|w|) pairs and slices no
+suffix, so only the Configs of the trace it returns pay for suffixes.
 """
 
 from __future__ import annotations
@@ -168,15 +169,19 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
     For a dfa this is the unique run, whatever the verdict. For an ndfa a
     trace exists only on acceptance: the first accepting computation found
     by breadth-first search (ties broken by rule order) is returned, and
-    None stands for "rejected, no trace". The search keeps O(|Q|·|w|)
-    (state, position) pairs; the trace itself is O(|w|²), because each of
-    its Configs holds the suffix still to be read.
+    None stands for "rejected, no trace". The verdict comes first, from
+    end_states, so a rejected word costs O(|w|·|rules|) time and O(|Q|)
+    memory and runs no search. An accepted word's search keeps
+    O(|Q|·|w|) (state, position) pairs; the trace itself is O(|w|²),
+    because each of its Configs holds the suffix still to be read.
     """
     w = check_word(machine, word)
     if machine.kind == DFA:
         return _dfa_trace(machine, w)
+    if end_states(machine, w).isdisjoint(machine.finals):
+        return None
     run = accepting_run(machine, w)
-    return None if run is None else Trace(tuple(Config(q, w[i:]) for q, i in run), ACCEPT)
+    return Trace(tuple(Config(q, w[i:]) for q, i in run), ACCEPT)
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:

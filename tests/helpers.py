@@ -152,6 +152,124 @@ def dfa_with_word(draw, max_states=4, max_word=6):
     return machine, word
 
 
+def random_regex(rng, depth=4):
+    """A random regular expression over {a, b, c}, as a tree of tuples.
+
+    The nodes are ("sym", s), ("eps",), ("union", r, r), ("cat", r, r)
+    and ("star", r); the tree is at most ``depth`` operators deep.
+    """
+    if depth == 0 or rng.random() < 0.3:
+        return ("eps",) if rng.random() < 0.15 else ("sym", rng.choice("abc"))
+    op = rng.choice(("union", "cat", "cat", "star"))
+    if op == "star":
+        return (op, random_regex(rng, depth - 1))
+    return (op, random_regex(rng, depth - 1), random_regex(rng, depth - 1))
+
+
+regexes = st.recursive(
+    st.sampled_from([("eps",), ("sym", "a"), ("sym", "b"), ("sym", "c")]),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("union", "cat")), inner, inner),
+        st.tuples(st.just("star"), inner),
+    ),
+    max_leaves=8,
+)
+
+
+def regex_pattern(regex):
+    """``regex`` in the syntax of Python's re module."""
+    op = regex[0]
+    if op == "sym":
+        return regex[1]
+    if op == "eps":
+        return "(?:)"
+    if op == "union":
+        return f"(?:{regex_pattern(regex[1])}|{regex_pattern(regex[2])})"
+    if op == "cat":
+        return regex_pattern(regex[1]) + regex_pattern(regex[2])
+    return f"(?:{regex_pattern(regex[1])})*"
+
+
+def regex_matches(regex, word):
+    """Python's backtracking matcher, which shares nothing with fa, on ``word``."""
+    return re.fullmatch(regex_pattern(regex), "".join(word)) is not None
+
+
+def sample_word(choose, regex):
+    """A word ``regex`` matches; ``choose(lo, hi)`` picks each branch and repeat count."""
+    op = regex[0]
+    if op == "sym":
+        return (regex[1],)
+    if op == "eps":
+        return ()
+    if op == "union":
+        return sample_word(choose, regex[choose(1, 2)])
+    if op == "cat":
+        return sample_word(choose, regex[1]) + sample_word(choose, regex[2])
+    return tuple(s for _ in range(choose(0, 2)) for s in sample_word(choose, regex[1]))
+
+
+def thompson_ndfa(regex):
+    """The Thompson (1968) construction of ``regex``, built with make_ndfa.
+
+    Each node becomes a fragment with one entry and one exit state. A
+    union and a star add an entry and an exit wired to their parts by EMP
+    rules, and a concatenation joins its parts' exit and entry by one, so
+    the machine is made of EMP chains, EMP cycles and EMP-only stars.
+    """
+    rules = []
+    states = []
+
+    def fresh():
+        states.append(f"q{len(states)}")
+        return states[-1]
+
+    def build(node):
+        op = node[0]
+        if op == "cat":
+            first_in, first_out = build(node[1])
+            second_in, second_out = build(node[2])
+            rules.append((first_out, EMP, second_in))
+            return first_in, second_out
+        entry, exit_ = fresh(), fresh()
+        if op in ("sym", "eps"):
+            rules.append((entry, node[1] if op == "sym" else EMP, exit_))
+        elif op == "union":
+            for part in node[1:]:
+                part_in, part_out = build(part)
+                rules.extend([(entry, EMP, part_in), (part_out, EMP, exit_)])
+        else:
+            part_in, part_out = build(node[1])
+            rules.extend(
+                [
+                    (entry, EMP, part_in),
+                    (entry, EMP, exit_),
+                    (part_out, EMP, part_in),
+                    (part_out, EMP, exit_),
+                ]
+            )
+        return entry, exit_
+
+    start, final = build(regex)
+    return make_ndfa(states, list("abc"), start, [final], rules)
+
+
+@st.composite
+def regex_with_word(draw):
+    """A regex and, half the time, a word it matches, else any word over {a, b, c}."""
+    regex = draw(regexes)
+    if draw(st.booleans()):
+        word = sample_word(lambda lo, hi: draw(st.integers(lo, hi)), regex)
+    else:
+        word = tuple(draw(st.lists(st.sampled_from("abc"), max_size=6)))
+    return regex, word
+
+
+def regex_ndfa_with_word():
+    """A Thompson machine and a word, drawn as regex_with_word draws them."""
+    return regex_with_word().map(lambda rw: (thompson_ndfa(rw[0]), rw[1]))
+
+
 _NODE_LINE = re.compile(r'^  "([^"]+)"(?: \[(.*)\])?;$')
 _EDGE_LINE = re.compile(r'^  "([^"]+)" -> "([^"]+)" \[label="([^"]*)"(, style=dashed)?\];$')
 

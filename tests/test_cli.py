@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fa
 from fa import (
     MachineFileError,
     WordError,
@@ -12,6 +16,9 @@ from fa import (
 )
 from fa.cli import main, parse_word_args
 from conftest import TWO_BRANCH_RULES
+
+SRC = Path(fa.__file__).resolve().parent.parent
+DEMO_NDFA = SRC.parent / "machines" / "demo-ndfa.json"
 
 TWO_BRANCH_DOC = {
     "kind": "ndfa",
@@ -285,3 +292,29 @@ def test_verdict_exit_codes_agree_with_apply(two_branch_file, capsys):
         expected = 0 if apply(machine, word.split()) == ACCEPT else 1
         assert main(args) == expected
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an accepted trace of 900 symbols is about 1 MB: the write itself fails
+        ["trace", str(DEMO_NDFA), *"aba" * 300],
+        # a short graph sits in stdout's buffer until the flush at the end
+        ["compgraph", str(DEMO_NDFA), "a", "b", "b"],
+        ["apply", str(DEMO_NDFA), "a"],
+    ],
+    ids=["long-trace", "compgraph", "apply"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # the reader closes its end before fa starts writing, as `fa ... | head -c 1` can
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fa.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=SRC,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -16,7 +16,7 @@ from fa import (
     show_transitions,
 )
 from fa.compgraph import computation_tree_to_cg_edges, edges_for_configuration, next_configurations
-from helpers import computation_census, dfa_with_word, ndfa_with_word
+from helpers import computation_census, dfa_with_word, ndfa_with_word, regex_ndfa_with_word
 
 
 def dead_edge(src, read, dst="ds"):
@@ -192,13 +192,14 @@ class TestBuildComputationGraph:
         assert cg.edges == (CGEdge("S", EMP, "A"),)
 
     def test_one_word_check_and_one_search_per_build(self, two_branch, monkeypatch):
-        # an accepted graph is read off its run, so only a rejected word is traversed
-        # and walks its state sets for the states where its runs end
+        # one pass over the state sets decides; only an accepted word searches for
+        # its run, and only a rejected word is traversed
         calls = {
             "check_word": 0,
             "accepting_run": 0,
             "computation_tree_to_cg_edges": 0,
             "end_states": 0,
+            "_state_sets": 0,
         }
 
         def counting(name, func):
@@ -212,14 +213,15 @@ class TestBuildComputationGraph:
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        for word, traversals in ((FIG_ACCEPT_WORD, 0), (FIG_REJECT_WORD, 1)):
+        for word, searches, traversals in ((FIG_ACCEPT_WORD, 1, 0), (FIG_REJECT_WORD, 0, 1)):
             calls.update(dict.fromkeys(calls, 0))
             build_computation_graph(two_branch, word)
             assert calls == {
                 "check_word": 1,
-                "accepting_run": 1,
+                "accepting_run": searches,
                 "computation_tree_to_cg_edges": traversals,
-                "end_states": traversals,
+                "end_states": 1,
+                "_state_sets": 1,
             }
 
     def test_apply_checks_the_word_once_and_runs_no_search(self, two_branch, monkeypatch):
@@ -256,7 +258,7 @@ def test_verdict_agreement_and_highlight_rule(machine_word):
     assert (cg.verdict == ACCEPT) == bool(cg.highlighted & set(machine.finals))
 
 
-@given(st.one_of(ndfa_with_word(), dfa_with_word()))
+@given(st.one_of(ndfa_with_word(), dfa_with_word(), regex_ndfa_with_word()))
 @settings(max_examples=300)
 def test_reject_graphs_match_brute_force_census(machine_word):
     machine, word = machine_word

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fa.execution
 from fa import (
     ACCEPT,
     EMP,
@@ -25,6 +26,7 @@ from helpers import (
     dfa_with_word,
     first_accepting_run,
     ndfa_with_word,
+    regex_ndfa_with_word,
 )
 
 
@@ -164,6 +166,29 @@ class TestShowTransitions:
         # the breadth-first search pins this run down exactly
         assert [c.state for c in trace.steps] == ["S", "A", "C", "E", "S", "A", "C", "E", "S"]
 
+    def test_only_an_accepted_ndfa_word_is_searched(self, two_branch, abstar, monkeypatch):
+        # one pass over the state sets decides an ndfa word; a dfa runs its one run
+        calls = {"accepting_run": 0, "_state_sets": 0}
+
+        def counting(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
+        for machine, word, searches, passes in (
+            (two_branch, "abbabb", 0, 1),
+            (two_branch, "abaaba", 1, 1),
+            (abstar, "abb", 0, 0),
+            (abstar, "ba", 0, 0),
+        ):
+            calls.update(dict.fromkeys(calls, 0))
+            show_transitions(machine, word)
+            assert calls == {"accepting_run": searches, "_state_sets": passes}
+
 
 @given(ndfa_with_word(max_states=5))
 @settings(max_examples=200)
@@ -205,7 +230,7 @@ def test_accept_iff_trace_exists(machine_word):
         assert trace is None
 
 
-@given(ndfa_with_word())
+@given(st.one_of(ndfa_with_word(), regex_ndfa_with_word()))
 @settings(max_examples=300)
 @example(  # an EMP cycle on the way to the final state
     (
