@@ -31,7 +31,6 @@ _OWNER = {
     "cgraph_summary": "dot",
     "cgraph_to_dot": "dot",
     "check_word": "execution",
-    "fresh_dead_state": "machines",
     "machine_to_document": "documents",
     "machine_to_dot": "dot",
     "make_dfa": "machines",

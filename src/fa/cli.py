@@ -36,8 +36,8 @@ def _write_dot(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         print(out)
-    else:
-        sys.stdout.write(text)
+    elif sys.stdout is not None:  # None when fd 1 was closed before fa started
+        sys.stdout.buffer.write(text.encode("utf-8"))  # UTF-8 as in --out, whatever the locale
 
 
 def _cmd_validate(machine: Machine, args) -> int:
@@ -122,7 +122,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(parse_machine_file(args.machine), args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         # the reader of stdout has gone, which is not bad input: say nothing,

@@ -112,7 +112,7 @@ def computation_tree_to_cg_edges(
     when no new configurations remain. The result may still contain
     cross-level duplicates; build_computation_graph keeps each edge once.
     """
-    dead = fresh_dead_state(machine)
+    dead = fresh_dead_state(machine.states)
     frontier = list(frontier)
     visited = list(visited)
     collected: list[CGEdge] = []
@@ -157,7 +157,7 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
         run = accepting_run(machine, w)
         triples = {(p, EMP if i == j else w[i], q) for (p, i), (q, j) in zip(run, run[1:])}
         highlighted = {run[-1][0]}
-    dead: str | None = fresh_dead_state(machine)
+    dead: str | None = fresh_dead_state(machine.states)
     edges = [CGEdge(*t, to_dead=True) for t in sorted(triples) if t[2] == dead]
     if edges:
         highlighted.add(dead)

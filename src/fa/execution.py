@@ -6,8 +6,8 @@ configurations. end_states gives that set to ndfa traces and to graphs,
 which decide by it first, so a rejected word runs no search. Only an
 accepted word runs accepting_run, one breadth-first search over (state,
 position) pairs, which traces the run for show_transitions and gives the
-accepted graph its edges. It keeps O(|Q|·|w|) pairs and slices no
-suffix, so only the Configs of the trace it returns pay for suffixes.
+accepted graph its edges. A pair reads only its state's rules, and the
+search keeps O(|Q|·|w|) pairs; only the trace's Configs hold suffixes.
 """
 
 from __future__ import annotations
@@ -63,13 +63,16 @@ def accepting_run(machine: Machine, w: Word) -> list[tuple[str, int]] | None:
     """The first accepting computation on the checked word ``w``, as (state, i) pairs.
 
     ``i`` counts the symbols consumed so far, so (q, i) stands for
-    Config(q, w[i:]). Breadth-first search over these pairs with a FIFO
-    queue, successors in machine rule order; a pair is queued at most
-    once, so EMP-only loops terminate and the search keeps O(|Q|·|w|)
-    pairs. None means no computation accepts.
+    Config(q, w[i:]). Breadth-first search with a FIFO queue; a pair reads
+    only the rules that leave its state, in machine order. A pair is queued
+    at most once, so EMP-only loops terminate and the search keeps
+    O(|Q|·|w|) pairs. None means no computation accepts.
     """
     n = len(w)
     finals = machine.finals
+    leaving: dict[str, list] = {}  # source state -> its rules, in machine order
+    for r in machine.rules:
+        leaving.setdefault(r.src, []).append(r)
     first = (machine.start, 0)
     parent: dict[tuple[str, int], tuple[str, int] | None] = {first: None}
     queue = deque([first])
@@ -84,11 +87,7 @@ def accepting_run(machine: Machine, w: Word) -> list[tuple[str, int]] | None:
             run.reverse()
             return run
         sym = w[i] if i < n else None
-        # fields by name: unpacking a Rule, a tuple subclass, allocates an
-        # iterator per rule, which doubled the scan on 150-state machines
-        for r in machine.rules:
-            if r.src != state:
-                continue
+        for r in leaving.get(state, ()):
             if r.read == EMP:
                 succ = (r.dst, i)
             elif r.read == sym:

@@ -184,7 +184,7 @@ def make_dfa(
                 "incomplete-with-no-dead",
                 f"no_dead was set but {len(missing)} transitions are missing, e.g. {missing[0]}",
             )
-        dead = _fresh_dead_name(states)
+        dead = fresh_dead_state(states)
         states = states + (dead,)
         rules = (
             rules
@@ -214,15 +214,11 @@ def dfa_delta(rules: Iterable[Rule]) -> dict[tuple[str, str], str]:
     return delta
 
 
-def _fresh_dead_name(states: Sequence[str]) -> str:
+def fresh_dead_state(states: Sequence[str]) -> str:
+    """Deterministic dead-state name that collides with none of ``states``."""
     if "ds" not in states:
         return "ds"
     n = 0
     while f"ds{n}" in states:
         n += 1
     return f"ds{n}"
-
-
-def fresh_dead_state(machine: Machine) -> str:
-    """Deterministic dead-state name that collides with none of the machine's states."""
-    return _fresh_dead_name(machine.states)

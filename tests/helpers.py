@@ -254,6 +254,42 @@ def thompson_ndfa(regex):
     return make_ndfa(states, list("abc"), start, [final], rules)
 
 
+def subset_dfa(ndfa):
+    """The subset construction (Rabin and Scott 1959) of ``ndfa``, built with make_dfa.
+
+    Each dfa state stands for an EMP-closed set of ndfa states, named by
+    the order the construction first meets it. Moves into the empty set
+    are left out, so make_dfa routes them to its dead state.
+    """
+
+    def closure(states):
+        closed, todo = set(states), list(states)
+        while todo:
+            q = todo.pop()
+            for src, read, dst in ndfa.rules:
+                if src == q and read == EMP and dst not in closed:
+                    closed.add(dst)
+                    todo.append(dst)
+        return frozenset(closed)
+
+    start = closure({ndfa.start})
+    names = {start: "D0"}
+    todo, rules = [start], []
+    while todo:
+        current = todo.pop()
+        for sym in ndfa.sigma:
+            moved = {dst for src, read, dst in ndfa.rules if src in current and read == sym}
+            if not moved:
+                continue
+            target = closure(moved)
+            if target not in names:
+                names[target] = f"D{len(names)}"
+                todo.append(target)
+            rules.append((names[current], sym, names[target]))
+    finals = [name for subset, name in names.items() if not subset.isdisjoint(ndfa.finals)]
+    return make_dfa(list(names.values()), ndfa.sigma, "D0", finals, rules)
+
+
 @st.composite
 def regex_with_word(draw):
     """A regex and, half the time, a word it matches, else any word over {a, b, c}."""

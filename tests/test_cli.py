@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -318,3 +319,43 @@ def test_closed_stdout_exits_141_quietly(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["apply", str(DEMO_NDFA), "a", "b", "a", "a", "b"], 0),
+        (["apply", str(DEMO_NDFA), "a", "b", "b"], 1),
+        (["trace", str(DEMO_NDFA), "a", "b", "a", "a", "b"], 0),
+        (["graph", str(DEMO_NDFA)], 0),
+        (["compgraph", str(DEMO_NDFA), "a", "b", "b", "--summary"], 1),
+    ],
+    ids=["apply-accept", "apply-reject", "trace", "graph", "compgraph"],
+)
+def test_stdout_closed_from_the_start_keeps_the_exit_code(argv, code):
+    # as `fa ... >&-`: Python then sets sys.stdout to None
+    proc = subprocess.run(
+        [sys.executable, "-m", "fa.cli", *argv],
+        stderr=subprocess.PIPE,
+        cwd=SRC,
+        preexec_fn=lambda: os.close(1),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["graph", str(DEMO_NDFA)], ["compgraph", str(DEMO_NDFA), "a", "b", "a", "a", "b"]],
+    ids=["graph", "compgraph"],
+)
+def test_dot_on_stdout_is_utf8_whatever_the_locale(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fa.cli", *argv],
+        capture_output=True,
+        cwd=SRC,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert "ε" in proc.stdout.decode("utf-8")

@@ -264,6 +264,26 @@ def test_apply_accepts_iff_the_configuration_search_finds_a_run(machine_word):
     assert (apply(machine, word) == ACCEPT) == (accepting_run(machine, word) is not None)
 
 
+class CountingRules(tuple):
+    """A rule tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("word", ["abaaba", "abbabb", ""])
+def test_accepting_run_reads_the_rule_list_once(two_branch, word):
+    # the search groups the rules by source state once, then each pair reads
+    # only its state's rules; a scan of every rule per pair iterates once per pair
+    rules = CountingRules(two_branch.rules)
+    run = accepting_run(two_branch._replace(rules=rules), tuple(word))
+    assert (run is not None) == (apply(two_branch, word) == ACCEPT)
+    assert rules.iterations == 1
+
+
 # The configuration search that decided words before needed 92.8 MiB
 # (accepted) and 46.4 MiB (rejected) of traced peak on two_branch at n = 3000.
 PEAK_LIMIT = 8 * 2**20
@@ -282,11 +302,11 @@ def traced(func, machine, word):
         tracemalloc.stop()
 
 
-def walked_ndfa(seed):
+def walked_ndfa(seed, length=10**5):
     """A random 300-state ndfa with 1-2 rules per (state, symbol), and an accepted word.
 
-    The word is a seeded walk of 10^5 symbols through the rules, EMP rules
-    included; the state the walk ends in is made final.
+    The word is a seeded walk of ``length`` symbols through the rules, EMP
+    rules included; the state the walk ends in is made final.
     """
     rng = random.Random(seed)
     states = [f"Q{i}" for i in range(300)]
@@ -298,7 +318,7 @@ def walked_ndfa(seed):
     for rule in rules:
         leaving.setdefault(rule[0], []).append(rule)
     state, word = states[0], []
-    while len(word) < 10**5:
+    while len(word) < length:
         _, read, state = rng.choice(leaving[state])
         if read != EMP:
             word.append(read)
@@ -341,3 +361,18 @@ class TestLongWords:
         verdict, peak = traced(apply, machine, word)
         assert verdict == ACCEPT
         assert peak < PEAK_LIMIT
+
+    def test_random_ndfa_with_300_states_traced_and_drawn_at_a_thousand_symbols(self):
+        # the search visits up to 300 pairs per position, each reading only
+        # its own state's rules; a rejected graph here waits for the census
+        machine, word = walked_ndfa(seed=3, length=1000)
+        trace = show_transitions(machine, word)
+        assert trace.verdict == ACCEPT
+        assert_valid_trace(machine, word, trace)
+        cg, peak = traced(build_computation_graph, machine, word)
+        assert cg.verdict == ACCEPT
+        steps = trace.steps
+        assert {e.triple for e in cg.edges} == {
+            (p, EMP if u == v else u[0], q) for (p, u), (q, v) in zip(steps, steps[1:])
+        }
+        assert peak < GRAPH_PEAK_LIMIT

@@ -8,11 +8,11 @@ from fa import (
     Machine,
     Rule,
     ValidationError,
-    fresh_dead_state,
     make_dfa,
     make_ndfa,
     parse_machine_text,
 )
+from fa.machines import fresh_dead_state
 from helpers import dfas, ndfas
 
 
@@ -190,16 +190,16 @@ class TestMakeDfa:
 class TestFreshDeadState:
     def test_plain(self, abstar):
         m = make_ndfa(["S", "F"], ["a"], "S", [], [])
-        assert fresh_dead_state(m) == "ds"
-        assert fresh_dead_state(abstar) == "ds0"  # completion already took ds
+        assert fresh_dead_state(m.states) == "ds"
+        assert fresh_dead_state(abstar.states) == "ds0"  # completion already took ds
 
     def test_single_collision(self):
         m = make_ndfa(["S", "ds"], ["a"], "S", [], [])
-        assert fresh_dead_state(m) == "ds0"
+        assert fresh_dead_state(m.states) == "ds0"
 
     def test_double_collision(self):
         m = make_ndfa(["ds", "ds0"], ["a"], "ds", [], [])
-        assert fresh_dead_state(m) == "ds1"
+        assert fresh_dead_state(m.states) == "ds1"
 
 
 @given(ndfas())

@@ -108,7 +108,6 @@ PUBLIC_API = [
     "cgraph_summary",
     "cgraph_to_dot",
     "check_word",
-    "fresh_dead_state",
     "machine_to_document",
     "machine_to_dot",
     "make_dfa",

@@ -5,24 +5,28 @@ does; re.fullmatch is a backtracking matcher that shares nothing with it.
 apply, the computation graph and an ndfa trace all decide by the forward
 state sets, so a fault there would reach all three. Thompson machines are
 built of EMP chains, EMP cycles and EMP-only stars, shapes the random
-ndfas of the other tests seldom draw.
+ndfas of the other tests seldom draw. Their subset constructions, built
+in the test code, give dfas with dozens of states, whose traces walk the
+dfa's one run.
 """
 
 import random
 
 from hypothesis import given, settings
 
-from fa import ACCEPT, EMP, REJECT, apply, build_computation_graph, show_transitions
+from fa import ACCEPT, DFA, EMP, REJECT, apply, build_computation_graph, show_transitions
 from helpers import (
     random_regex,
     regex_matches,
     regex_pattern,
     regex_with_word,
     sample_word,
+    subset_dfa,
     thompson_ndfa,
 )
 
 POPULATION = 2000  # seeded regexes, four words each
+DFA_POPULATION = 500  # seeded regexes up to 7 operators deep, four words each
 
 
 def population():
@@ -56,6 +60,38 @@ def test_seeded_regex_population_agrees_with_re():
 def test_regex_machines_agree_with_re(regex_word):
     regex, word = regex_word
     assert_all_actions_agree_with_re(regex, thompson_ndfa(regex), word)
+
+
+def assert_dfa_agrees_with_re(regex, machine, word):
+    assert machine.kind == DFA
+    expected = ACCEPT if regex_matches(regex, word) else REJECT
+    where = f"{regex_pattern(regex)!r} on {''.join(word)!r}"
+    assert apply(machine, word) == expected, where
+    assert build_computation_graph(machine, word).verdict == expected, where
+    trace = show_transitions(machine, word)
+    assert trace.verdict == expected and len(trace.steps) == len(word) + 1, where
+    return expected
+
+
+def test_seeded_subset_dfas_agree_with_re():
+    rng = random.Random(4)
+    sizes, verdicts = [], []
+    for _ in range(DFA_POPULATION):
+        regex = random_regex(rng, depth=7)
+        machine = subset_dfa(thompson_ndfa(regex))
+        sizes.append(len(machine.states))
+        words = [sample_word(rng.randint, regex) for _ in range(2)]
+        words += [tuple(rng.choice("abc") for _ in range(rng.randint(0, 10))) for _ in range(2)]
+        verdicts += [assert_dfa_agrees_with_re(regex, machine, word) for word in words]
+    assert max(sizes) >= 24  # dozens of states, the dead state included
+    assert DFA_POPULATION < verdicts.count(ACCEPT) < 3 * DFA_POPULATION
+
+
+@given(regex_with_word())
+@settings(max_examples=200)
+def test_subset_dfas_agree_with_re(regex_word):
+    regex, word = regex_word
+    assert_dfa_agrees_with_re(regex, subset_dfa(thompson_ndfa(regex)), word)
 
 
 def test_thompson_machine_of_a_star_around_a_union():
