@@ -19,7 +19,7 @@ _OWNER = {
     "DFA": "machines",
     "EMP": "machines",
     "Machine": "machines",
-    "MachineFileError": "documents",
+    "MachineFileError": "machines",
     "NDFA": "machines",
     "REJECT": "machines",
     "Rule": "machines",
@@ -30,13 +30,13 @@ _OWNER = {
     "build_computation_graph": "compgraph",
     "cgraph_summary": "dot",
     "cgraph_to_dot": "dot",
-    "check_word": "execution",
-    "machine_to_document": "documents",
+    "check_word": "machines",
+    "machine_to_document": "machines",
     "machine_to_dot": "dot",
     "make_dfa": "machines",
     "make_ndfa": "machines",
-    "parse_machine_file": "documents",
-    "parse_machine_text": "documents",
+    "parse_machine_file": "machines",
+    "parse_machine_text": "machines",
     "show_transitions": "execution",
 }
 _SUBMODULES = frozenset(_OWNER.values())

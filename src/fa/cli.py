@@ -15,8 +15,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .documents import parse_machine_file
-from .machines import ACCEPT, EMP, CodedError, Machine, WordError
+from .machines import ACCEPT, EMP, CodedError, Machine, WordError, parse_machine_file
 
 
 def parse_word_args(tokens: Sequence[str]) -> tuple[str, ...]:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .execution import ACCEPT, REJECT, Config, accepting_run, check_word, end_states
-from .machines import EMP, Machine, Word, fresh_dead_state
+from .execution import Config, accepting_run, end_states
+from .machines import ACCEPT, EMP, REJECT, Machine, Word, check_word, fresh_dead_state
 
 
 class CGEdge(NamedTuple):

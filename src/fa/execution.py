@@ -24,7 +24,7 @@ from .machines import (
     Machine,
     ValidationError,
     Word,
-    WordError,
+    check_word,
     dfa_delta,
 )
 
@@ -46,17 +46,6 @@ class Trace(NamedTuple):
 
     steps: tuple[Config, ...]
     verdict: str
-
-
-def check_word(machine: Machine, word: Sequence[str]) -> Word:
-    """Normalize ``word`` to a symbol tuple, rejecting out-of-alphabet symbols."""
-    w = tuple(word)
-    for sym in w:
-        if sym not in machine.sigma:
-            raise WordError(
-                "symbol-not-in-sigma", f"word symbol {sym!r} is not in the machine's alphabet"
-            )
-    return w
 
 
 def accepting_run(machine: Machine, w: Word) -> list[tuple[str, int]] | None:

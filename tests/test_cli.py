@@ -134,6 +134,19 @@ class TestUnreadableDocuments:
         assert main(["validate", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_utf8_bom_is_skipped(self, tmp_path, capsys):
+        # some editors start UTF-8 files with EF BB BF, which RFC 8259 lets parsers ignore
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + DEMO_NDFA.read_bytes())
+        assert parse_machine_file(str(path)) == parse_machine_file(str(DEMO_NDFA))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok: ndfa")
+        # a BOM cut short is not UTF-8
+        path.write_bytes(b"\xef\xbb")
+        with pytest.raises(MachineFileError) as info:
+            parse_machine_file(str(path))
+        assert info.value.code == "unreadable-file"
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         text = "[" * 100_000 + "]" * 100_000
         with pytest.raises(MachineFileError) as info:

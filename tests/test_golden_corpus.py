@@ -24,12 +24,16 @@ from fa import (
     make_ndfa,
     show_transitions,
 )
-from helpers import STATE_POOL, random_ndfa, random_word
+from helpers import STATE_POOL, random_ndfa, random_regex, random_word, sample_word, thompson_ndfa
 
 CORPUS = Path(__file__).with_name("golden_corpus.jsonl")
 SEED = 20260418
 NDFA_CASES = 1500
 DFA_CASES = 500
+# Thompson machines of random regexes, made of the EMP chains and cycles that
+# random ndfas seldom draw; their own generator leaves the earlier cases as they were
+THOMPSON_SEED = 20261019
+THOMPSON_CASES = 300
 
 
 def random_completed_dfa(rng, max_states=5):
@@ -70,6 +74,14 @@ def generate():
     for _ in range(DFA_CASES):
         machine = random_completed_dfa(rng)
         cases.append(record(machine, random_word(rng, machine, max_len=8)))
+    rng = random.Random(THOMPSON_SEED)
+    for k in range(THOMPSON_CASES):
+        regex = random_regex(rng)
+        if k % 2:
+            word = tuple(rng.choice("abc") for _ in range(rng.randint(0, 8)))
+        else:
+            word = sample_word(rng.randint, regex)
+        cases.append(record(thompson_ndfa(regex), word))
     return cases
 
 
@@ -87,7 +99,7 @@ def rebuild(case):
 
 def test_corpus_covers_both_kinds_and_both_verdicts():
     cases = load()
-    assert len(cases) == NDFA_CASES + DFA_CASES
+    assert len(cases) == NDFA_CASES + DFA_CASES + THOMPSON_CASES
     assert {(c["machine"][0], c["verdict"]) for c in cases} == {
         ("ndfa", "accept"), ("ndfa", "reject"), ("dfa", "accept"), ("dfa", "reject")
     }
