@@ -31,7 +31,9 @@ def parse_word_args(tokens: Sequence[str]) -> tuple[str, ...]:
 
 
 def _write_dot(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:  # an empty name fails to open, as any bad name does
+        if "\0" in out:  # open would raise ValueError
+            raise OSError(f"cannot write {out!r}: embedded null byte")
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         print(out)
@@ -62,8 +64,8 @@ def _cmd_trace(machine: Machine, args) -> int:
     if trace is None:
         print("no trace: word rejected by ndfa")
         return 1
-    for config in trace.steps:
-        print(f"({' '.join(config.unconsumed)}) {config.state}")
+    for state, i in trace.run:  # one suffix at a time, however long the word
+        print(f"({' '.join(trace.word[i:])}) {state}")
     print(trace.verdict)
     return 0 if trace.verdict == ACCEPT else 1
 

@@ -5,9 +5,9 @@ apply decides a word by the last of its forward ε-closed state sets
 configurations. end_states gives that set to ndfa traces and to graphs,
 which decide by it first, so a rejected word runs no search. Only an
 accepted word runs accepting_run, one breadth-first search over (state,
-position) pairs, which traces the run for show_transitions and gives the
-accepted graph its edges. A pair reads only its state's rules, and the
-search keeps O(|Q|·|w|) pairs; only the trace's Configs hold suffixes.
+position) pairs, whose run is the Trace show_transitions returns and
+gives the accepted graph its edges. A pair reads only its state's rules,
+and the search keeps O(|Q|·|w|) pairs; no trace holds a suffix.
 """
 
 from __future__ import annotations
@@ -42,13 +42,19 @@ class Config(NamedTuple):
 
 
 class Trace(NamedTuple):
-    """One computation, as the configurations it passes through, plus its verdict."""
+    """One computation on ``word``: its (state, i) pairs, each standing for
+    Config(q, word[i:]) as ``steps`` builds it on access, and its verdict."""
 
-    steps: tuple[Config, ...]
+    word: Word
+    run: tuple[tuple[str, int], ...]
     verdict: str
 
+    @property
+    def steps(self) -> tuple[Config, ...]:
+        return tuple(Config(q, self.word[i:]) for q, i in self.run)
 
-def accepting_run(machine: Machine, w: Word) -> list[tuple[str, int]] | None:
+
+def accepting_run(machine: Machine, w: Word) -> tuple[tuple[str, int], ...] | None:
     """The first accepting computation on the checked word ``w``, as (state, i) pairs.
 
     ``i`` counts the symbols consumed so far, so (q, i) stands for
@@ -73,8 +79,7 @@ def accepting_run(machine: Machine, w: Word) -> list[tuple[str, int]] | None:
             while at is not None:
                 run.append(at)
                 at = parent[at]
-            run.reverse()
-            return run
+            return tuple(reversed(run))
         sym = w[i] if i < n else None
         for r in leaving.get(state, ()):
             if r.read == EMP:
@@ -160,31 +165,29 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
     None stands for "rejected, no trace". The verdict comes first, from
     end_states, so a rejected word costs O(|w|·|rules|) time and O(|Q|)
     memory and runs no search. An accepted word's search keeps
-    O(|Q|·|w|) (state, position) pairs; the trace itself is O(|w|²),
-    because each of its Configs holds the suffix still to be read.
+    O(|Q|·|w|) (state, position) pairs, and the trace is its run, so it
+    takes O(|w|) memory; only each access of ``steps`` copies suffixes.
     """
     w = check_word(machine, word)
     if machine.kind == DFA:
         return _dfa_trace(machine, w)
     if end_states(machine, w).isdisjoint(machine.finals):
         return None
-    run = accepting_run(machine, w)
-    return Trace(tuple(Config(q, w[i:]) for q, i in run), ACCEPT)
+    return Trace(w, accepting_run(machine, w), ACCEPT)
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
     # make_dfa checks the rules and completes the function; a Machine built
     # directly can have EMP rules, two rules on one pair, or none
     delta = dfa_delta(machine.rules)
-    state, u = machine.start, w
-    steps = [Config(state, u)]
-    while u:
+    state = machine.start
+    run = [(state, 0)]
+    for i, sym in enumerate(w):
         try:
-            state, u = delta[state, u[0]], u[1:]
+            state = delta[state, sym]
         except KeyError:
             raise ValidationError(
-                "incomplete-dfa", f"dfa has no transition from {state} on {u[0]}"
+                "incomplete-dfa", f"dfa has no transition from {state} on {sym}"
             ) from None
-        steps.append(Config(state, u))
-    verdict = ACCEPT if state in machine.finals else REJECT
-    return Trace(tuple(steps), verdict)
+        run.append((state, i + 1))
+    return Trace(w, tuple(run), ACCEPT if state in machine.finals else REJECT)

@@ -251,12 +251,12 @@ def parse_machine_text(text: str, where: str = "<machine>") -> Machine:
     Expected keys: kind ("dfa"/"ndfa"), states, sigma, start, finals,
     rules as [from, label, to] lists with "EMP" for a reading-nothing
     label, and an optional no_dead boolean (dfa only). A rule of any
-    other shape is MachineFileError("malformed-rule").
+    other shape is MachineFileError("malformed-rule"). A leading BOM is skipped.
     """
     import json  # loaded on the first parse, so machines built in code never load it
 
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.removeprefix("\ufeff"))
     except json.JSONDecodeError as err:
         raise MachineFileError(
             "malformed-document", f"{where}:{err.lineno}:{err.colno}: not valid JSON: {err.msg}"
@@ -294,15 +294,18 @@ def parse_machine_text(text: str, where: str = "<machine>") -> Machine:
 def parse_machine_file(path: str) -> Machine:
     """Read and build a Machine from a JSON file on disk; a leading UTF-8 BOM is skipped."""
     try:
+        # parse_machine_text skips the BOM; utf-8-sig would read a file of
+        # just EF or EF BB as empty text, not as bytes that are not UTF-8
         with open(path, encoding="utf-8") as handle:
-            # not utf-8-sig, which reads a file of just EF or EF BB as empty text
-            text = handle.read().removeprefix("\ufeff")
+            text = handle.read()
     except OSError as err:
-        raise MachineFileError("unreadable-file", f"cannot read {path}: {err.strerror}") from err
+        raise MachineFileError("unreadable-file", f"cannot read {path!r}: {err.strerror}") from err
     except UnicodeDecodeError as err:
         raise MachineFileError(
-            "unreadable-file", f"cannot read {path}: not UTF-8 text (byte {err.start})"
+            "unreadable-file", f"cannot read {path!r}: not UTF-8 text (byte {err.start})"
         ) from err
+    except ValueError as err:  # a NUL byte in the path, which no file name holds
+        raise MachineFileError("unreadable-file", f"cannot read {path!r}: {err}") from err
     return parse_machine_text(text, where=path)
 
 

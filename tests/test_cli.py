@@ -142,10 +142,16 @@ class TestUnreadableDocuments:
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out.startswith("ok: ndfa")
         # a BOM cut short is not UTF-8
-        path.write_bytes(b"\xef\xbb")
-        with pytest.raises(MachineFileError) as info:
-            parse_machine_file(str(path))
-        assert info.value.code == "unreadable-file"
+        for data in (b"\xef", b"\xef\xbb"):
+            path.write_bytes(data)
+            with pytest.raises(MachineFileError) as info:
+                parse_machine_file(str(path))
+            assert info.value.code == "unreadable-file"
+
+    def test_text_with_a_bom_parses_as_without(self):
+        # as a caller that reads the file itself hands it over
+        text = DEMO_NDFA.read_text(encoding="utf-8")
+        assert parse_machine_text("\ufeff" + text) == parse_machine_text(text)
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         text = "[" * 100_000 + "]" * 100_000
@@ -295,6 +301,27 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         assert main(["validate", "does-not-exist.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "a\x00b"], "cannot read 'a\\x00b': embedded null byte"),
+        (["graph", str(DEMO_NDFA), "--out", "a\x00b"], "cannot write 'a\\x00b': embedded null byte"),
+        (
+            ["compgraph", str(DEMO_NDFA), "a", "--out", "a\x00b"],
+            "cannot write 'a\\x00b': embedded null byte",
+        ),
+        # an empty name, as an unset shell variable gives, is no request for stdout
+        (["graph", str(DEMO_NDFA), "--out", ""], "No such file or directory: ''"),
+    ],
+    ids=["validate-nul", "graph-out-nul", "compgraph-out-nul", "graph-out-empty"],
+)
+def test_a_bad_path_exits_2_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fa: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
 
 
 def test_verdict_exit_codes_agree_with_apply(two_branch_file, capsys):

@@ -289,6 +289,8 @@ def test_accepting_run_reads_the_rule_list_once(two_branch, word):
 PEAK_LIMIT = 8 * 2**20
 # An accepted graph keeps the search's (state, position) pairs, about 37 MiB
 # on two_branch at n = 99,999; a suffix per configuration was quadratic.
+# A trace is the same run: a Config per step, each holding its own suffix,
+# peaked at 511 MiB (two_branch) and 383 MiB (abstar) at n = 10^4.
 GRAPH_PEAK_LIMIT = 64 * 2**20
 
 
@@ -338,6 +340,25 @@ class TestLongWords:
         cg, peak = traced(build_computation_graph, two_branch, tuple("aba") * 33_333)
         assert cg.verdict == ACCEPT
         assert cg.edges == build_computation_graph(two_branch, "abaaba").edges
+        assert peak < GRAPH_PEAK_LIMIT
+
+    @pytest.mark.parametrize(
+        "fixture,unit,count,expected",
+        [("two_branch", "aba", 33_333, ACCEPT), ("abstar", "ab", 50_000, REJECT)],
+        ids=["ndfa-accept", "dfa-reject"],
+    )
+    def test_trace_at_a_hundred_thousand_symbols(self, request, fixture, unit, count, expected):
+        machine = request.getfixturevalue(fixture)
+        word = tuple(unit) * count
+        trace, peak = traced(show_transitions, machine, word)
+        assert trace.verdict == expected and trace.word == word
+        # the run replays rule by rule; its steps would copy |w|²/2 symbols
+        assert trace.run[0] == (machine.start, 0) and trace.run[-1][1] == len(word)
+        rules = set(machine.rules)
+        for (p, i), (q, j) in zip(trace.run, trace.run[1:]):
+            read = EMP if i == j else word[i]
+            assert j - i in (0, 1) and (p, read, q) in rules
+        assert (trace.run[-1][0] in machine.finals) == (expected == ACCEPT)
         assert peak < GRAPH_PEAK_LIMIT
 
     @pytest.mark.parametrize("last", ["a", "b"])
