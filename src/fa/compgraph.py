@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .execution import Config, accepting_run, end_states
+from .execution import Config, _rule_positions, accepting_run, end_states
 from .machines import ACCEPT, EMP, REJECT, Machine, Word, check_word, fresh_dead_state
 
 
@@ -137,9 +137,10 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
     The verdict comes first, from end_states, as apply decides it. An
     accepted word keeps the steps of the run accepting_run finds (the
     trace show_transitions returns) and highlights the state it ends in.
-    Its edges are read off the run's positions, so an accepted graph
-    slices no suffix and needs only the search's O(|Q|·|w|) memory. A
-    rejected word runs no search: it keeps the edges of the
+    Its edges are read off the run's positions and put in machine order
+    by the search's per-state rule lists, so an accepted graph slices no
+    suffix, scans no rule list and needs only the search's O(|Q|·|w|)
+    memory. A rejected word runs no search: it keeps the edges of the
     computation-tree traversal and highlights the end states, where its
     runs end with the word consumed. The dead state is highlighted when a
     dead edge exists, and so is the start state on the empty word, where
@@ -151,11 +152,13 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
         verdict = REJECT
         tree = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
         triples = {e.triple for e in tree}
+        applied = [r for r in machine.rules if r in triples]
         highlighted = set(ends)
     else:
         verdict = ACCEPT
         run = accepting_run(machine, w)
         triples = {(p, EMP if i == j else w[i], q) for (p, i), (q, j) in zip(run, run[1:])}
+        applied = [machine.rules[k] for k in _rule_positions(machine, triples)]
         highlighted = {run[-1][0]}
     dead: str | None = fresh_dead_state(machine.states)
     edges = [CGEdge(*t, to_dead=True) for t in sorted(triples) if t[2] == dead]
@@ -163,7 +166,7 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
         highlighted.add(dead)
     else:
         dead = None
-    edges += [CGEdge(*r) for r in machine.rules if r in triples]
+    edges += [CGEdge(*r) for r in applied]
     if not w:
         highlighted.add(machine.start)
     return ComputationGraph(machine, w, tuple(edges), frozenset(highlighted), dead, verdict)

@@ -8,12 +8,18 @@ accepted word runs accepting_run, one breadth-first search over (state,
 position) pairs, whose run is the Trace show_transitions returns and
 gives the accepted graph its edges. A pair reads only its state's rules,
 and the search keeps O(|Q|·|w|) pairs; no trace holds a suffix.
+
+The walks' tables are built once per machine: the last Machine used keeps
+them (_tables), so a trace or graph after apply on the same machine reads
+no rule and finds its state-set steps memoised. What is kept is bounded
+by one machine: O(|rules|) entries and at most _MEMO_LIMIT steps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Sequence
+from functools import cached_property
 from typing import NamedTuple
 
 from .machines import (
@@ -28,9 +34,10 @@ from .machines import (
     dfa_delta,
 )
 
-# (state set, symbol) steps kept per word. The limit bounds memory by O(|Q|)
-# when the sets never repeat; words walked on small machines meet a dozen or
-# so distinct steps, so their hit rate does not depend on it.
+# (state set, symbol) steps kept per machine, across calls. The limit bounds
+# the memo by O(|Q|) memory when the sets never repeat; words walked on small
+# machines meet a dozen or so distinct steps, so their hit rate does not
+# depend on it.
 _MEMO_LIMIT = 256
 
 
@@ -54,6 +61,60 @@ class Trace(NamedTuple):
         return tuple(Config(q, self.word[i:]) for q, i in self.run)
 
 
+class _Tables:
+    """One Machine's tables, each built the first time a call needs it.
+
+    ``moves`` and ``memo`` serve _state_sets, ``leaving`` (per-state
+    (read, dst, index) lists in machine order) accepting_run, ``delta``
+    _dfa_trace. A build that raises keeps nothing, so it raises on every call.
+    """
+
+    def __init__(self, machine: Machine) -> None:
+        self.machine = machine
+        self.memo: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+
+    @cached_property
+    def moves(self) -> tuple[dict[str, list[str]], dict[str, dict[str, list[str]]]]:
+        emp: dict[str, list[str]] = {}
+        moves: dict[str, dict[str, list[str]]] = {}  # symbol -> state -> destinations
+        for src, read, dst in self.machine.rules:
+            if read == EMP:
+                emp.setdefault(src, []).append(dst)
+            else:
+                moves.setdefault(read, {}).setdefault(src, []).append(dst)
+        return emp, moves
+
+    @cached_property
+    def leaving(self) -> dict[str, list[tuple[str, str, int]]]:
+        leaving: dict[str, list[tuple[str, str, int]]] = {}
+        for k, (src, read, dst) in enumerate(self.machine.rules):
+            leaving.setdefault(src, []).append((read, dst, k))
+        return leaving
+
+    @cached_property
+    def delta(self) -> dict[tuple[str, str], str]:
+        # make_dfa checks the rules and completes the function; a Machine built
+        # directly can have EMP rules, two rules on one pair, or none
+        return dfa_delta(self.machine.rules)
+
+
+_last: _Tables | None = None
+
+
+def _tables(machine: Machine) -> _Tables:
+    """The tables of ``machine``, kept for the last machine only.
+
+    The key is identity: equality would hash every rule on every call.
+    Threads that race here at worst build a table twice, as each call
+    reads the one record it got.
+    """
+    global _last
+    tables = _last
+    if tables is None or tables.machine is not machine:
+        tables = _last = _Tables(machine)
+    return tables
+
+
 def accepting_run(machine: Machine, w: Word) -> tuple[tuple[str, int], ...] | None:
     """The first accepting computation on the checked word ``w``, as (state, i) pairs.
 
@@ -65,9 +126,7 @@ def accepting_run(machine: Machine, w: Word) -> tuple[tuple[str, int], ...] | No
     """
     n = len(w)
     finals = machine.finals
-    leaving: dict[str, list] = {}  # source state -> its rules, in machine order
-    for r in machine.rules:
-        leaving.setdefault(r.src, []).append(r)
+    leaving = _tables(machine).leaving
     first = (machine.start, 0)
     parent: dict[tuple[str, int], tuple[str, int] | None] = {first: None}
     queue = deque([first])
@@ -81,17 +140,29 @@ def accepting_run(machine: Machine, w: Word) -> tuple[tuple[str, int], ...] | No
                 at = parent[at]
             return tuple(reversed(run))
         sym = w[i] if i < n else None
-        for r in leaving.get(state, ()):
-            if r.read == EMP:
-                succ = (r.dst, i)
-            elif r.read == sym:
-                succ = (r.dst, i + 1)
+        for read, dst, _ in leaving.get(state, ()):
+            if read == EMP:
+                succ = (dst, i)
+            elif read == sym:
+                succ = (dst, i + 1)
             else:
                 continue
             if succ not in parent:
                 parent[succ] = at
                 queue.append(succ)
     return None
+
+
+def _rule_positions(machine: Machine, triples: set[tuple[str, str, str]]) -> list[int]:
+    """The positions in ``machine.rules`` of the rules among ``triples``, ascending;
+    each triple reads only its source state's list, not every rule."""
+    leaving = _tables(machine).leaving
+    return sorted(
+        k
+        for src, read, dst in triples
+        for r, d, k in leaving.get(src, ())
+        if r == read and d == dst
+    )
 
 
 def _state_sets(machine: Machine, w: Word) -> Iterator[frozenset[str]]:
@@ -101,15 +172,12 @@ def _state_sets(machine: Machine, w: Word) -> Iterator[frozenset[str]]:
     the states S_i reaches by reading w[i], so S_i holds exactly the states
     some computation is in with w[i:] left to consume. The sets stop after
     the first empty one, else after S_n. Steps are memoised on
-    (S_i, w[i]), so once the sets repeat a symbol costs one dict lookup.
+    (S_i, w[i]) for the machine, so once the sets repeat, in this call or
+    an earlier one, a symbol costs one dict lookup.
     """
-    emp: dict[str, list[str]] = {}
-    moves: dict[str, dict[str, list[str]]] = {}  # symbol -> state -> destinations
-    for src, read, dst in machine.rules:
-        if read == EMP:
-            emp.setdefault(src, []).append(dst)
-        else:
-            moves.setdefault(read, {}).setdefault(src, []).append(dst)
+    tables = _tables(machine)
+    emp, moves = tables.moves
+    memo = tables.memo
 
     def closure(states: set[str]) -> frozenset[str]:
         todo = list(states)
@@ -122,14 +190,13 @@ def _state_sets(machine: Machine, w: Word) -> Iterator[frozenset[str]]:
 
     current = closure({machine.start})
     yield current
-    memo: dict[tuple[frozenset[str], str], frozenset[str]] = {}
     for sym in w:
         if not current:
             return
         key = (current, sym)
         nxt = memo.get(key)
         if nxt is None:
-            if len(memo) == _MEMO_LIMIT:
+            if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
             row = moves.get(sym, {})
             nxt = memo[key] = closure({d for q in current for d in row.get(q, ())})
@@ -177,9 +244,7 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
-    # make_dfa checks the rules and completes the function; a Machine built
-    # directly can have EMP rules, two rules on one pair, or none
-    delta = dfa_delta(machine.rules)
+    delta = _tables(machine).delta
     state = machine.start
     run = [(state, 0)]
     for i, sym in enumerate(w):

@@ -8,6 +8,7 @@ messages and which check wins.
 
 from __future__ import annotations
 
+import io
 import re
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
@@ -25,6 +26,10 @@ Word = tuple[str, ...]
 _STATE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _SYMBOL = re.compile(r"[a-z0-9]\Z")
 _new_tuple = tuple.__new__  # makes a Rule without NamedTuple's Python-level __new__
+
+# The most parse_machine_file reads: 8 MiB, about 350 times the largest
+# machine the benchmark writes (a 150-state ndfa of 23.6 KB).
+_MAX_FILE_BYTES = 8 * 2**20
 
 
 class CodedError(ValueError):
@@ -61,7 +66,11 @@ class Machine(NamedTuple):
 
     Component order is preserved from construction (after duplicates are
     dropped), so everything downstream iterates deterministically.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads. The
+    components are tuples, and must stay unchanged once a call has used
+    the machine: fa.execution keeps the tables it builds from the rules of
+    the last machine used, found by identity, and reuses them while that
+    same object comes back.
     """
 
     kind: str
@@ -292,21 +301,33 @@ def parse_machine_text(text: str, where: str = "<machine>") -> Machine:
 
 
 def parse_machine_file(path: str) -> Machine:
-    """Read and build a Machine from a JSON file on disk; a leading UTF-8 BOM is skipped."""
+    """Read and build a Machine from a JSON file on disk; a leading UTF-8 BOM is skipped.
+
+    At most 8 MiB are read: a longer file, /dev/zero or an endless pipe is
+    MachineFileError("file-too-large"), not a read that fills memory.
+    """
     try:
-        # parse_machine_text skips the BOM; utf-8-sig would read a file of
-        # just EF or EF BB as empty text, not as bytes that are not UTF-8
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read(_MAX_FILE_BYTES + 1)
     except OSError as err:
         raise MachineFileError("unreadable-file", f"cannot read {path!r}: {err.strerror}") from err
+    except ValueError as err:  # a NUL byte in the path, which no file name holds
+        raise MachineFileError("unreadable-file", f"cannot read {path!r}: {err}") from err
+    if len(data) > _MAX_FILE_BYTES:
+        raise MachineFileError(
+            "file-too-large", f"cannot read {path!r}: more than {_MAX_FILE_BYTES} bytes"
+        )
+    try:
+        # as open(path, encoding="utf-8").read() decodes: in one piece, so an
+        # error's offset counts from the file's start. Not utf-8-sig: it reads
+        # a file of just EF or EF BB as empty text, not as bytes that are not UTF-8
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as err:
         raise MachineFileError(
             "unreadable-file", f"cannot read {path!r}: not UTF-8 text (byte {err.start})"
         ) from err
-    except ValueError as err:  # a NUL byte in the path, which no file name holds
-        raise MachineFileError("unreadable-file", f"cannot read {path!r}: {err}") from err
-    return parse_machine_text(text, where=path)
+    # an error names the file first, so a name with a line break is quoted
+    return parse_machine_text(text, where=path if path.isprintable() else repr(path))
 
 
 def machine_to_document(machine: Machine) -> dict:

@@ -190,6 +190,39 @@ class TestUnreadableDocuments:
             parse_machine_text('{\n  "kind": }', where="bad.json")
         assert str(info.value).startswith("bad.json:2:11: not valid JSON")
 
+    def test_a_file_over_the_size_cap(self, tmp_path, capsys):
+        cap = fa.machines._MAX_FILE_BYTES
+        demo = DEMO_NDFA.read_bytes()
+        path = tmp_path / "padded.json"
+        # whitespace before a valid document: only the size can be wrong
+        path.write_bytes(b" " * (cap - len(demo)) + demo)
+        assert parse_machine_file(str(path)) == parse_machine_file(str(DEMO_NDFA))
+        path.write_bytes(b" " * (cap - len(demo) + 1) + demo)
+        with pytest.raises(MachineFileError) as info:
+            parse_machine_file(str(path))
+        assert info.value.code == "file-too-large"
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"fa: cannot read {str(path)!r}: more than {cap} bytes\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /dev/zero")
+    def test_an_endless_file_is_too_large(self, capsys):
+        # its read used to run until memory ran out
+        assert main(["validate", "/dev/zero"]) == 2
+        cap = fa.machines._MAX_FILE_BYTES
+        assert capsys.readouterr().err == f"fa: cannot read '/dev/zero': more than {cap} bytes\n"
+
+    def test_a_path_with_a_line_break_stays_on_one_line(self, tmp_path, capsys):
+        for name in ("x\ny.json", "xy.json"):
+            path = tmp_path / name
+            path.write_text('{"kind": }')
+            assert main(["validate", str(path)]) == 2
+            where = str(path) if name == "xy.json" else repr(str(path))
+            assert capsys.readouterr().err == f"fa: {where}:1:10: not valid JSON: Expecting value\n"
+        path = str(tmp_path / "x\ny.json")
+        with pytest.raises(MachineFileError) as info:
+            parse_machine_file(path)
+        assert str(info.value).startswith(f"{path!r}:1:10: ")
+
 
 class TestApplyCommand:
     def test_accept(self, two_branch_file, capsys):

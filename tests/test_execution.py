@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -26,7 +29,13 @@ from helpers import (
     dfa_with_word,
     first_accepting_run,
     ndfa_with_word,
+    random_ndfa,
+    random_regex,
+    random_word,
     regex_ndfa_with_word,
+    sample_word,
+    subset_dfa,
+    thompson_ndfa,
 )
 
 
@@ -304,14 +313,14 @@ def traced(func, machine, word):
         tracemalloc.stop()
 
 
-def walked_ndfa(seed, length=10**5):
-    """A random 300-state ndfa with 1-2 rules per (state, symbol), and an accepted word.
+def walked_ndfa(seed, length=10**5, size=300):
+    """A random ``size``-state ndfa with 1-2 rules per (state, symbol), and an accepted word.
 
     The word is a seeded walk of ``length`` symbols through the rules, EMP
     rules included; the state the walk ends in is made final.
     """
     rng = random.Random(seed)
-    states = [f"Q{i}" for i in range(300)]
+    states = [f"Q{i}" for i in range(size)]
     rules = [
         (q, s, rng.choice(states)) for q in states for s in "ab" for _ in range(rng.randint(1, 2))
     ]
@@ -397,3 +406,150 @@ class TestLongWords:
             (p, EMP if u == v else u[0], q) for (p, u), (q, v) in zip(steps, steps[1:])
         }
         assert peak < GRAPH_PEAK_LIMIT
+
+
+def three_actions(machine, word):
+    return apply(machine, word), show_transitions(machine, word), build_computation_graph(machine, word)
+
+
+def forget_tables():
+    fa.execution._last = None
+
+
+def interleaved_cases(seed, machines=12, count=2400, max_len=8):
+    """``count`` (machine, word) pairs drawn at random from a pool of seeded
+    ndfas and their subset dfas, so that consecutive calls switch machines.
+
+    Half the ndfas are Thompson machines of random regexes, and half of
+    their words are drawn from the regex, so that many words are accepted.
+    """
+    rng = random.Random(seed)
+    pool = []
+    for n in range(machines // 2):
+        regex = random_regex(rng, depth=3) if n % 2 else None
+        ndfa = thompson_ndfa(regex) if regex else random_ndfa(rng, max_states=6, max_rules=14)
+        pool += [(ndfa, regex), (subset_dfa(ndfa), regex)]
+    cases = []
+    for _ in range(count):
+        machine, regex = rng.choice(pool)
+        if regex and rng.random() < 0.5:
+            cases.append((machine, sample_word(rng.randint, regex)))
+        else:
+            cases.append((machine, random_word(rng, machine, max_len=max_len)))
+    return cases
+
+
+class TestMachineTables:
+    """The last machine used keeps its tables: what apply builds, the trace and graph reuse."""
+
+    @pytest.mark.parametrize(
+        "fixture,accepted,rejected,tables",
+        [
+            ("two_branch", ["abaaba", "abbab"], "bb", 2),  # state sets, per-state lists
+            ("abstar", ["abbb", "a"], "ba", 3),  # and the dfa's transition table
+        ],
+    )
+    def test_each_table_reads_the_rule_list_once(self, request, fixture, accepted, rejected, tables):
+        base = request.getfixturevalue(fixture)
+        rules = CountingRules(base.rules)
+        machine = base._replace(rules=rules)
+        for word in accepted:
+            assert apply(machine, word) == ACCEPT
+            assert show_transitions(machine, word).verdict == ACCEPT
+            assert build_computation_graph(machine, word).verdict == ACCEPT
+        # a rejected graph still scans every rule per configuration (its level
+        # traversal), so only the decision and the trace are counted here
+        assert apply(machine, rejected) == REJECT
+        show_transitions(machine, rejected)
+        assert rules.iterations == tables
+
+    def test_a_machine_never_reads_another_machines_tables(self, two_branch):
+        assert three_actions(two_branch, "abbab")[0] == ACCEPT
+        # equal, but another object: it builds its own tables
+        rules = CountingRules(two_branch.rules)
+        twin = Machine(*two_branch[:-1], rules)
+        assert twin == two_branch and twin is not two_branch
+        assert three_actions(twin, "abbab") == three_actions(two_branch, "abbab")
+        assert rules.iterations == 2
+        show_transitions(twin, "abbab")
+        assert rules.iterations == 4
+        # a _replace'd machine shares the rule tuple, but never the tables
+        fewer = two_branch._replace(rules=tuple(r for r in two_branch.rules if r != ("D", EMP, "S")))
+        moved = two_branch._replace(start="B")
+        no_finals = two_branch._replace(finals=())
+        for machine in (fewer, moved, no_finals, two_branch, fewer):
+            for word in ("abbab", "abaaba", "bb", "b", ""):
+                got = three_actions(machine, word)
+                forget_tables()
+                assert got == three_actions(machine, word)
+                assert (got[0] == ACCEPT) == brute_force_accepts(machine, word)
+                three_actions(two_branch, word)  # the next machine follows another
+
+    def test_interleaved_machines_match_a_cache_reset_before_every_call(self):
+        cases = interleaved_cases(seed=17)
+        assert len(cases) >= 2000
+        got = [three_actions(m, w) for m, w in cases]
+        expected = []
+        for m, w in cases:
+            forget_tables()
+            verdict = apply(m, w)
+            forget_tables()
+            trace = show_transitions(m, w)
+            forget_tables()
+            expected.append((verdict, trace, build_computation_graph(m, w)))
+        assert got == expected
+        assert sum(v == ACCEPT for v, _, _ in got) > len(cases) // 10
+
+    def test_threads_on_interleaved_machines_agree_with_a_serial_run(self):
+        # long words give a thread more steps in which another can switch machines
+        cases = interleaved_cases(seed=29, count=600, max_len=40)
+        expected = [three_actions(m, w) for m, w in cases]
+        results = {}
+
+        def worker(k):
+            order = list(range(len(cases)))
+            random.Random(k).shuffle(order)
+            results[k] = {i: three_actions(*cases[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            assert [got[i] for i in range(len(cases))] == expected
+
+    def test_the_cache_keeps_one_machines_tables(self):
+        def kept(seeds):
+            """Traced bytes still held after deciding and tracing each machine in turn,
+            and the bytes that forgetting the tables then frees."""
+            forget_tables()
+            tracemalloc.start()
+            try:
+                gc.collect()  # a full collection also empties the tuple free lists
+                start = tracemalloc.get_traced_memory()[0]
+                for seed in seeds:
+                    machine, word = walked_ndfa(seed, length=24, size=150)
+                    assert apply(machine, word) == ACCEPT
+                    assert show_transitions(machine, word).verdict == ACCEPT
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+                forget_tables()
+                return held - start, held - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        one, one_tables = kept([99])
+        many, many_tables = kept(range(100))
+        # the hundredth machine is the one measured alone: the 99 before it
+        # leave nothing behind, in the tables or anywhere else
+        assert 0 < one_tables < one
+        assert many_tables <= 1.1 * one_tables
+        assert many <= one + 0.1 * one_tables
