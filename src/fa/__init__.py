@@ -13,9 +13,9 @@ from importlib import import_module as _import_module
 # public name -> the submodule that defines it
 _OWNER = {
     "ACCEPT": "machines",
-    "CGEdge": "compgraph",
+    "CGEdge": "execution",
     "Config": "execution",
-    "ComputationGraph": "compgraph",
+    "ComputationGraph": "execution",
     "DFA": "machines",
     "EMP": "machines",
     "Machine": "machines",
@@ -27,7 +27,7 @@ _OWNER = {
     "ValidationError": "machines",
     "WordError": "machines",
     "apply": "execution",
-    "build_computation_graph": "compgraph",
+    "build_computation_graph": "execution",
     "cgraph_summary": "dot",
     "cgraph_to_dot": "dot",
     "check_word": "machines",

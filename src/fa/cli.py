@@ -5,7 +5,9 @@ symbols, with the literal EMP (or no symbols at all) standing for the
 empty word. Exit codes: 0 accept, 1 reject, 2 usage or validation error,
 141 when the reader of standard output has closed it.
 Each command imports the modules it runs: validate and graph never load
-fa.execution, and validate, apply and trace never load the graph modules.
+fa.execution, and only graph and compgraph load fa.dot. fa.execution
+decides, traces and builds computation graphs, so apply and trace load
+the graph builder with it.
 """
 
 from __future__ import annotations
@@ -34,11 +36,20 @@ def _write_dot(text: str, out: str | None) -> None:
     if out is not None:  # an empty name fails to open, as any bad name does
         if "\0" in out:  # open would raise ValueError
             raise OSError(f"cannot write {out!r}: embedded null byte")
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except BrokenPipeError:
+            raise
+        except OSError as err:  # named as "cannot read" names a machine file
+            raise OSError(f"cannot write {out!r}: {err.strerror}") from err
         print(out)
     elif sys.stdout is not None:  # None when fd 1 was closed before fa started
-        sys.stdout.buffer.write(text.encode("utf-8"))  # UTF-8 as in --out, whatever the locale
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # a text-only stream, as contextlib.redirect_stdout sets
+            sys.stdout.write(text)
+        else:
+            buffer.write(text.encode("utf-8"))  # UTF-8 as in --out, whatever the locale
 
 
 def _cmd_validate(machine: Machine, args) -> int:
@@ -78,8 +89,8 @@ def _cmd_graph(machine: Machine, args) -> int:
 
 
 def _cmd_compgraph(machine: Machine, args) -> int:
-    from .compgraph import build_computation_graph
     from .dot import cgraph_summary, cgraph_to_dot
+    from .execution import build_computation_graph
 
     cg = build_computation_graph(machine, parse_word_args(args.word))
     _write_dot(cgraph_to_dot(cg), args.out)

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING
 
 from .machines import ACCEPT, EMP, Machine
 
-if TYPE_CHECKING:  # fa graph draws machines without loading the executor or the graph builder
-    from .compgraph import ComputationGraph
+if TYPE_CHECKING:  # fa graph draws machines without loading fa.execution
+    from .execution import ComputationGraph
 
 EPSILON_LABEL = "ε"
 

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -346,9 +348,13 @@ class TestValidateCommand:
             "cannot write 'a\\x00b': embedded null byte",
         ),
         # an empty name, as an unset shell variable gives, is no request for stdout
-        (["graph", str(DEMO_NDFA), "--out", ""], "No such file or directory: ''"),
+        (["graph", str(DEMO_NDFA), "--out", ""], "cannot write '': No such file or directory"),
+        (
+            ["graph", str(DEMO_NDFA), "--out", str(DEMO_NDFA.parent)],
+            f"cannot write {str(DEMO_NDFA.parent)!r}: Is a directory",
+        ),
     ],
-    ids=["validate-nul", "graph-out-nul", "compgraph-out-nul", "graph-out-empty"],
+    ids=["validate-nul", "graph-out-nul", "compgraph-out-nul", "graph-out-empty", "graph-out-dir"],
 )
 def test_a_bad_path_exits_2_with_one_error_line(argv, message, capsys):
     assert main(argv) == 2
@@ -432,3 +438,21 @@ def test_dot_on_stdout_is_utf8_whatever_the_locale(argv):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert "ε" in proc.stdout.decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["graph", str(DEMO_NDFA)], 0), (["compgraph", str(DEMO_NDFA), "a", "b", "b"], 1)],
+    ids=["graph", "compgraph"],
+)
+def test_dot_goes_to_a_text_only_stdout(argv, code, capsys):
+    # as a caller that runs main in process and collects stdout in a StringIO
+    machine = parse_machine_file(str(DEMO_NDFA))
+    if argv[0] == "graph":
+        dot = machine_to_dot(machine)
+    else:
+        dot = fa.cgraph_to_dot(fa.build_computation_graph(machine, argv[2:]))
+    with redirect_stdout(io.StringIO()) as stdout:
+        assert main(argv) == code
+    assert stdout.getvalue() == dot
+    assert capsys.readouterr() == ("", "")

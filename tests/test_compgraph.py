@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fa.compgraph
 import fa.execution
 from fa import (
     ACCEPT,
@@ -15,7 +14,7 @@ from fa import (
     make_ndfa,
     show_transitions,
 )
-from fa.compgraph import computation_tree_to_cg_edges, edges_for_configuration, next_configurations
+from fa.execution import computation_tree_to_cg_edges, edges_for_configuration, next_configurations
 from helpers import computation_census, dfa_with_word, ndfa_with_word, regex_ndfa_with_word
 
 
@@ -209,10 +208,8 @@ class TestBuildComputationGraph:
 
             return wrapper
 
-        for module in (fa.execution, fa.compgraph):
-            for name in calls:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for name in calls:
+            monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
         for word, searches, traversals in ((FIG_ACCEPT_WORD, 1, 0), (FIG_REJECT_WORD, 0, 1)):
             calls.update(dict.fromkeys(calls, 0))
             build_computation_graph(two_branch, word)
