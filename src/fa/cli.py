@@ -2,8 +2,8 @@
 
 Machines live in JSON files; words are given as whitespace-separated
 symbols, with the literal EMP (or no symbols at all) standing for the
-empty word. Exit codes: 0 accept, 1 reject, 2 usage or validation error,
-141 when the reader of standard output has closed it.
+empty word. Exit codes: 0 accept, 1 reject, 2 usage, validation or write
+error, 141 when the reader of standard output has closed it.
 Each command imports the modules it runs: validate and graph never load
 fa.execution, and only graph and compgraph load fa.dot. fa.execution
 decides, traces and builds computation graphs, so apply and trace load
@@ -142,9 +142,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # and let the interpreter's last flush of stdout go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
-    except (CodedError, OSError) as err:
-        print(f"fa: {err}", file=sys.stderr)
-        return 2
+    except CodedError as err:
+        message = str(err)
+    except OSError as err:  # --out errors come worded; one with an errno is a write to stdout
+        message = str(err) if err.errno is None else f"cannot write <stdout>: {err.strerror}"
+    print(f"fa: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

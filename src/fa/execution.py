@@ -71,9 +71,11 @@ class Trace(NamedTuple):
 class _Tables:
     """One Machine's tables, each built the first time a call needs it.
 
-    ``moves`` and ``memo`` serve _state_sets, ``leaving`` (per-state
-    (read, dst, index) lists in machine order) accepting_run, ``delta``
-    _dfa_trace. A build that raises keeps nothing, so it raises on every call.
+    ``moves`` (read -> state -> destinations; EMP is a read like any other)
+    and ``memo`` serve _state_sets and _dfa_trace, ``leaving`` (per-state
+    (read, dst, index) lists in machine order) accepting_run. A dfa's moves
+    come from dfa_delta, so a bad dfa built directly fails every action. A
+    build that raises keeps nothing, so it raises on every call.
     """
 
     def __init__(self, machine: Machine) -> None:
@@ -81,15 +83,14 @@ class _Tables:
         self.memo: dict[tuple[frozenset[str], str], frozenset[str]] = {}
 
     @cached_property
-    def moves(self) -> tuple[dict[str, list[str]], dict[str, dict[str, list[str]]]]:
-        emp: dict[str, list[str]] = {}
-        moves: dict[str, dict[str, list[str]]] = {}  # symbol -> state -> destinations
-        for src, read, dst in self.machine.rules:
-            if read == EMP:
-                emp.setdefault(src, []).append(dst)
-            else:
-                moves.setdefault(read, {}).setdefault(src, []).append(dst)
-        return emp, moves
+    def moves(self) -> dict[str, dict[str, list[str]]]:
+        rules = self.machine.rules
+        if self.machine.kind == DFA:  # dfa_delta checks the rules as it reads them
+            rules = [(src, read, dst) for (src, read), dst in dfa_delta(rules).items()]
+        moves: dict[str, dict[str, list[str]]] = {}
+        for src, read, dst in rules:
+            moves.setdefault(read, {}).setdefault(src, []).append(dst)
+        return moves
 
     @cached_property
     def leaving(self) -> dict[str, list[tuple[str, str, int]]]:
@@ -97,12 +98,6 @@ class _Tables:
         for k, (src, read, dst) in enumerate(self.machine.rules):
             leaving.setdefault(src, []).append((read, dst, k))
         return leaving
-
-    @cached_property
-    def delta(self) -> dict[tuple[str, str], str]:
-        # make_dfa checks the rules and completes the function; a Machine built
-        # directly can have EMP rules, two rules on one pair, or none
-        return dfa_delta(self.machine.rules)
 
 
 _last: _Tables | None = None
@@ -171,8 +166,8 @@ def _state_sets(machine: Machine, w: Word) -> Iterator[frozenset[str]]:
     an earlier one, a symbol costs one dict lookup.
     """
     tables = _tables(machine)
-    emp, moves = tables.moves
-    memo = tables.memo
+    moves, memo = tables.moves, tables.memo
+    emp = moves.get(EMP, {})
 
     def closure(states: set[str]) -> frozenset[str]:
         todo = list(states)
@@ -239,12 +234,12 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
-    delta = _tables(machine).delta
+    moves = _tables(machine).moves
     state = machine.start
     run = [(state, 0)]
     for i, sym in enumerate(w):
         try:
-            state = delta[state, sym]
+            (state,) = moves[sym][state]
         except KeyError:
             raise ValidationError(
                 "incomplete-dfa", f"dfa has no transition from {state} on {sym}"

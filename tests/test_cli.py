@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -398,6 +399,54 @@ def test_closed_stdout_exits_141_quietly(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+class FullStdout(io.StringIO):
+    """A text stdout on a full disk: ``write`` or ``flush``, as ``fails``, raises ENOSPC."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+FULL_STDOUT_ARGV = [
+    ["apply", str(DEMO_NDFA), "a"],
+    ["trace", str(DEMO_NDFA), "a", "b", "a", "a", "b"],
+    ["graph", str(DEMO_NDFA)],
+    ["compgraph", str(DEMO_NDFA), "a", "b", "b", "--summary"],
+]
+NO_SPACE = f"fa: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("argv", FULL_STDOUT_ARGV, ids=lambda argv: argv[0])
+def test_a_failed_write_to_stdout_exits_2_naming_stdout(argv, fails, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullStdout(fails))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == NO_SPACE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the Linux /dev/full device")
+@pytest.mark.parametrize("argv", FULL_STDOUT_ARGV, ids=lambda argv: argv[0])
+def test_stdout_on_dev_full_exits_2_naming_stdout(argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fa.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            cwd=SRC,
+            timeout=60,
+        )
+    assert (proc.returncode, proc.stderr.decode()) == (2, NO_SPACE)
 
 
 @pytest.mark.parametrize(

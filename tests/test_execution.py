@@ -141,6 +141,10 @@ class TestShowTransitions:
             show_transitions(m, "ab")
         assert info.value.code == "incomplete-dfa"
         assert str(info.value) == "dfa has no transition from T on b"
+        # the decision and the graph need no move the machine lacks
+        assert apply(m, "ab") == REJECT
+        cg = build_computation_graph(m, "ab")
+        assert [e for e in cg.edges if e.to_dead] == [("T", "b", "ds", True)]
 
     @pytest.mark.parametrize(
         "rules,word,message",
@@ -155,16 +159,23 @@ class TestShowTransitions:
                 "",
                 "EMP transition ('S', 'EMP', 'T') is not allowed in a dfa",
             ),
+            (  # no run reaches U
+                (Rule("S", "a", "T"), Rule("T", "a", "T"), Rule("U", EMP, "T")),
+                "aa",
+                "EMP transition ('U', 'EMP', 'T') is not allowed in a dfa",
+            ),
         ],
     )
     def test_directly_built_nondeterministic_dfa_is_refused(self, rules, word, message):
-        # make_dfa would refuse it; apply follows every rule, a dfa trace cannot
+        # make_dfa would refuse it; every action reads the dfa's one move table,
+        # so each refuses it on any word, whether or not its run meets the bad rule
         m = Machine("dfa", ("S", "T", "U"), ("a",), "S", ("T",), rules)
-        assert apply(m, word) == ACCEPT
-        with pytest.raises(ValidationError) as info:
-            show_transitions(m, word)
-        assert info.value.code == "nondeterministic-rules"
-        assert str(info.value) == message
+        for action in (apply, show_transitions, build_computation_graph):
+            for w in (word, "", "a"):
+                with pytest.raises(ValidationError) as info:
+                    action(m, w)
+                assert info.value.code == "nondeterministic-rules"
+                assert str(info.value) == message
 
     def test_ndfa_reject_has_no_trace(self, two_branch):
         assert show_transitions(two_branch, "bb") is None
@@ -271,6 +282,29 @@ def test_ndfa_trace_and_accepted_graph_follow_the_first_accepting_run(machine_wo
 def test_apply_accepts_iff_the_configuration_search_finds_a_run(machine_word):
     machine, word = machine_word
     assert (apply(machine, word) == ACCEPT) == (accepting_run(machine, word) is not None)
+
+
+def subset_dfa_with_word(ndfa_words):
+    return ndfa_words.map(lambda machine_word: (subset_dfa(machine_word[0]), machine_word[1]))
+
+
+@given(
+    st.one_of(
+        dfa_with_word(),
+        subset_dfa_with_word(ndfa_with_word()),
+        subset_dfa_with_word(regex_ndfa_with_word()),
+    )
+)
+@settings(max_examples=300)
+@example((subset_dfa(thompson_ndfa(("star", ("sym", "a")))), tuple("aa")))
+@example((subset_dfa(thompson_ndfa(("star", ("sym", "a")))), tuple("ab")))
+def test_dfa_trace_is_its_one_run_step_by_step(machine_word):
+    # a dfa has a trace whatever the verdict: each step is one of its rules
+    machine, word = machine_word
+    trace = show_transitions(machine, word)
+    assert_valid_trace(machine, word, trace)
+    assert len(trace.run) == len(word) + 1
+    assert trace.verdict == apply(machine, word)
 
 
 class CountingRules(tuple):
@@ -446,7 +480,7 @@ class TestMachineTables:
         "fixture,accepted,rejected,tables",
         [
             ("two_branch", ["abaaba", "abbab"], "bb", 2),  # state sets, per-state lists
-            ("abstar", ["abbb", "a"], "ba", 3),  # and the dfa's transition table
+            ("abstar", ["abbb", "a"], "ba", 2),  # the dfa check shares the state sets' pass
         ],
     )
     def test_each_table_reads_the_rule_list_once(self, request, fixture, accepted, rejected, tables):

@@ -58,6 +58,28 @@ def test_the_package_has_these_submodules():
     assert {f"fa.{path.stem}" for path in (SRC / "fa").glob("*.py")} == SUBMODULES | {"fa.__init__"}
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a name with a leading underscore belongs to its module; another module
+    # that needs it should get a public name, or the code should move
+    found = []
+    for path in sorted((SRC / "fa").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # names bound to fa's submodules in this file
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "fa"):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+                modules |= {a.asname or a.name for a in node.names if f"fa.{a.name}" in SUBMODULES}
+        found += [
+            f"{path.name}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "argv,unloaded",
     [
