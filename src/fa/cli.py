@@ -13,6 +13,7 @@ the graph builder with it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from collections.abc import Sequence
@@ -35,14 +36,14 @@ def parse_word_args(tokens: Sequence[str]) -> tuple[str, ...]:
 def _write_dot(text: str, out: str | None) -> None:
     if out is not None:  # an empty name fails to open, as any bad name does
         if "\0" in out:  # open would raise ValueError
-            raise OSError(f"cannot write {out!r}: embedded null byte")
+            raise CodedError("unwritable-file", f"cannot write {out!r}: embedded null byte")
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
         except BrokenPipeError:
             raise
         except OSError as err:  # named as "cannot read" names a machine file
-            raise OSError(f"cannot write {out!r}: {err.strerror}") from err
+            raise CodedError("unwritable-file", f"cannot write {out!r}: {err.strerror}") from err
         print(out)
     elif sys.stdout is not None:  # None when fd 1 was closed before fa started
         buffer = getattr(sys.stdout, "buffer", None)
@@ -137,15 +138,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader of stdout has gone, which is not bad input: say nothing,
-        # and let the interpreter's last flush of stdout go to the null device
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
-    except CodedError as err:
+    except CodedError as err:  # --out errors too, so an OSError here is a write to stdout
         message = str(err)
-    except OSError as err:  # --out errors come worded; one with an errno is a write to stdout
-        message = str(err) if err.errno is None else f"cannot write <stdout>: {err.strerror}"
+    except OSError as err:  # the write failed, or the reader of stdout has gone
+        # stdout's buffer keeps what failed; flush it at exit to the null device, not a second error
+        with contextlib.suppress(AttributeError, OSError):  # a stream with no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(err, BrokenPipeError):  # not bad input: say nothing
+            return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+        message = f"cannot write <stdout>: {err.strerror or err}"
     print(f"fa: {message}", file=sys.stderr)
     return 2
 

@@ -72,8 +72,8 @@ class _Tables:
     """One Machine's tables, each built the first time a call needs it.
 
     ``moves`` (read -> state -> destinations; EMP is a read like any other)
-    and ``memo`` serve _state_sets and _dfa_trace, ``leaving`` (per-state
-    (read, dst, index) lists in machine order) accepting_run. A dfa's moves
+    serves _state_sets and _dfa_trace, ``memo`` _state_sets, ``leaving``
+    (per-state (read, dst, index) lists in machine order) accepting_run. A dfa's moves
     come from dfa_delta, so a bad dfa built directly fails every action. A
     build that raises keeps nothing, so it raises on every call.
     """

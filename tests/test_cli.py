@@ -436,14 +436,21 @@ def test_a_failed_write_to_stdout_exits_2_naming_stdout(argv, fails, capsys, mon
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the Linux /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", FULL_STDOUT_ARGV, ids=lambda argv: argv[0])
-def test_stdout_on_dev_full_exits_2_naming_stdout(argv):
+def test_stdout_on_dev_full_exits_2_naming_stdout(argv, unbuffered):
+    # buffered, the failed bytes stay for the interpreter's own flush at exit,
+    # which must not fail again (a second error line and exit code 120)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "fa.cli", *argv],
             stdout=full,
             stderr=subprocess.PIPE,
             cwd=SRC,
+            env=env,
             timeout=60,
         )
     assert (proc.returncode, proc.stderr.decode()) == (2, NO_SPACE)
