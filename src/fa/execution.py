@@ -17,8 +17,11 @@ the rest. An accepted word's graph is the one run show_transitions traces.
 
 The walks' tables are built once per machine: the last Machine used keeps
 them (_tables), so a trace or graph after apply on the same machine reads
-no rule and finds its state-set steps memoised. What is kept is bounded
-by one machine: O(|rules|) entries and at most _MEMO_LIMIT steps.
+no rule and finds its state-set steps memoised. It also keeps the last
+word asked about, its S_n and, once found, its accepting run, so a trace
+or graph that follows on an equal word walks and searches nothing again.
+What is kept is bounded by one machine and one word: O(|rules|) entries,
+at most _MEMO_LIMIT steps and one run of O(|w|) pairs.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from .machines import (
 # depend on it.
 _MEMO_LIMIT = 256
 
+_Run = tuple[tuple[str, int], ...]
+
 
 class Config(NamedTuple):
     """A machine state together with the input suffix still to be consumed."""
@@ -69,18 +74,27 @@ class Trace(NamedTuple):
 
 
 class _Tables:
-    """One Machine's tables, each built the first time a call needs it.
+    """One Machine's tables, each built the first time a call needs it, and
+    the last word asked about.
 
     ``moves`` (read -> state -> destinations; EMP is a read like any other)
-    serves _state_sets and _dfa_trace, ``memo`` _state_sets, ``leaving``
-    (per-state (read, dst, index) lists in machine order) accepting_run. A dfa's moves
-    come from dfa_delta, so a bad dfa built directly fails every action. A
-    build that raises keeps nothing, so it raises on every call.
+    serves _state_sets and _dfa_trace, ``memo`` serves _state_sets, and
+    ``leaving`` (per-state (read, dst, index) lists in machine order) serves
+    accepting_run. A dfa's moves come from dfa_delta, so a bad dfa built
+    directly fails every action. A build that raises keeps nothing, so it
+    raises on every call.
+
+    ``asked`` is (w, S_n, run) for the last checked word: end_states fills
+    it, and accepting_run or a dfa's trace adds the accepting run (None
+    until one is found). Callers read it once and replace it whole, so
+    threads asking one machine different words never pair one word's run
+    with another word's S_n.
     """
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.memo: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+        self.asked: tuple[Word, frozenset[str], _Run | None] | None = None
 
     @cached_property
     def moves(self) -> dict[str, dict[str, list[str]]]:
@@ -117,14 +131,32 @@ def _tables(machine: Machine) -> _Tables:
     return tables
 
 
-def accepting_run(machine: Machine, w: Word) -> tuple[tuple[str, int], ...] | None:
+def accepting_run(machine: Machine, w: Word) -> _Run | None:
     """The first accepting computation on the checked word ``w``, as (state, i) pairs.
 
     ``i`` counts the symbols consumed so far, so (q, i) stands for
-    Config(q, w[i:]). Breadth-first search with a FIFO queue; a pair reads
-    only the rules that leave its state, in machine order. A pair is queued
-    at most once, so EMP-only loops terminate and the search keeps
-    O(|Q|·|w|) pairs. None means no computation accepts.
+    Config(q, w[i:]). None means no computation accepts. The run found for
+    the machine's last word is kept next to that word's S_n, so asking
+    again for an equal word searches nothing.
+    """
+    tables = _tables(machine)
+    asked = tables.asked
+    if asked is None or asked[0] != w:  # no S_n of w to keep a run next to
+        return _search(machine, w)
+    word, ends, run = asked
+    if run is None:
+        run = _search(machine, w)
+        if run is not None:
+            tables.asked = (word, ends, run)
+    return run
+
+
+def _search(machine: Machine, w: Word) -> _Run | None:
+    """accepting_run's breadth-first search with a FIFO queue.
+
+    A pair reads only the rules that leave its state, in machine order. A
+    pair is queued at most once, so EMP-only loops terminate and the search
+    keeps O(|Q|·|w|) pairs.
     """
     n = len(w)
     finals = machine.finals
@@ -196,9 +228,18 @@ def _state_sets(machine: Machine, w: Word) -> Iterator[frozenset[str]]:
 
 def end_states(machine: Machine, w: Word) -> frozenset[str]:
     """S_n for the checked word ``w``: the states some computation ends in
-    with all of ``w`` consumed, empty when every run gets stuck first."""
+    with all of ``w`` consumed, empty when every run gets stuck first.
+
+    It is kept as the machine's last word, so asking again for an equal
+    word walks no state set.
+    """
+    tables = _tables(machine)
+    asked = tables.asked
+    if asked is not None and asked[0] == w:
+        return asked[1]
     for last in _state_sets(machine, w):
         pass
+    tables.asked = (w, last, None)
     return last
 
 
@@ -234,9 +275,10 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
-    moves = _tables(machine).moves
+    tables = _tables(machine)
+    moves = tables.moves
     state = machine.start
-    run = [(state, 0)]
+    steps = [(state, 0)]
     for i, sym in enumerate(w):
         try:
             (state,) = moves[sym][state]
@@ -244,8 +286,13 @@ def _dfa_trace(machine: Machine, w: Word) -> Trace:
             raise ValidationError(
                 "incomplete-dfa", f"dfa has no transition from {state} on {sym}"
             ) from None
-        run.append((state, i + 1))
-    return Trace(w, tuple(run), ACCEPT if state in machine.finals else REJECT)
+        steps.append((state, i + 1))
+    run = tuple(steps)
+    accepted = state in machine.finals
+    # a dfa has no EMP rule, so S_n is the one state its run ends in, and
+    # its one run is the run accepting_run would find
+    tables.asked = (w, frozenset((state,)), run if accepted else None)
+    return Trace(w, run, ACCEPT if accepted else REJECT)
 
 
 class CGEdge(NamedTuple):
@@ -378,13 +425,20 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
     """
     w = check_word(machine, word)
     ends = end_states(machine, w)
+    edges: list[CGEdge] = []
+    dead: str | None = None
     if ends.isdisjoint(machine.finals):
         verdict = REJECT
         tree = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
         triples = {e.triple for e in tree}
         applied = [r for r in machine.rules if r in triples]
         highlighted = set(ends)
-    else:
+        name = fresh_dead_state(machine.states)
+        edges = [CGEdge(*t, to_dead=True) for t in sorted(triples) if t[2] == name]
+        if edges:
+            dead = name
+            highlighted.add(dead)
+    else:  # the run takes only machine rules, so there is no dead edge
         verdict = ACCEPT
         run = accepting_run(machine, w)
         triples = {(p, EMP if i == j else w[i], q) for (p, i), (q, j) in zip(run, run[1:])}
@@ -392,12 +446,6 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
         positions = (k for p, a, q in triples for r, d, k in leaving.get(p, ()) if r == a and d == q)
         applied = [machine.rules[k] for k in sorted(positions)]
         highlighted = {run[-1][0]}
-    dead: str | None = fresh_dead_state(machine.states)
-    edges = [CGEdge(*t, to_dead=True) for t in sorted(triples) if t[2] == dead]
-    if edges:
-        highlighted.add(dead)
-    else:
-        dead = None
     edges += [CGEdge(*r) for r in applied]
     if not w:
         highlighted.add(machine.start)

@@ -70,7 +70,9 @@ class Machine(NamedTuple):
     components are tuples, and must stay unchanged once a call has used
     the machine: fa.execution keeps the tables it builds from the rules of
     the last machine used, found by identity, and reuses them while that
-    same object comes back.
+    same object comes back. With them it keeps that machine's last word,
+    its last state set and its accepting run, which a trace or graph of
+    an equal word reuses.
     """
 
     kind: str

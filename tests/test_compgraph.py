@@ -26,6 +26,22 @@ FIG_REJECT_WORD = "abbabb"
 FIG_ACCEPT_WORD = "abaaba"
 
 
+def count_calls(monkeypatch, names):
+    """Count the calls made to each of ``names`` in fa.execution, by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
+    return calls
+
+
 class TestEdgesForConfiguration:
     def test_long_suffix_gives_regular_edges(self, two_branch):
         got = edges_for_configuration(two_branch, Config("C", tuple("abb")), "ds")
@@ -193,23 +209,8 @@ class TestBuildComputationGraph:
     def test_one_word_check_and_one_search_per_build(self, two_branch, monkeypatch):
         # one pass over the state sets decides; only an accepted word searches for
         # its run, and only a rejected word is traversed
-        calls = {
-            "check_word": 0,
-            "accepting_run": 0,
-            "computation_tree_to_cg_edges": 0,
-            "end_states": 0,
-            "_state_sets": 0,
-        }
-
-        def counting(name, func):
-            def wrapper(*args):
-                calls[name] += 1
-                return func(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
+        names = ["check_word", "accepting_run", "computation_tree_to_cg_edges", "end_states"]
+        calls = count_calls(monkeypatch, [*names, "_state_sets"])
         for word, searches, traversals in ((FIG_ACCEPT_WORD, 1, 0), (FIG_REJECT_WORD, 0, 1)):
             calls.update(dict.fromkeys(calls, 0))
             build_computation_graph(two_branch, word)
@@ -223,21 +224,38 @@ class TestBuildComputationGraph:
 
     def test_apply_checks_the_word_once_and_runs_no_search(self, two_branch, monkeypatch):
         # apply decides by forward state sets; only traces and graphs search
-        calls = {"check_word": 0, "accepting_run": 0}
-
-        def counting(name, func):
-            def wrapper(*args):
-                calls[name] += 1
-                return func(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
+        calls = count_calls(monkeypatch, ["check_word", "accepting_run"])
         for word, verdict in ((FIG_ACCEPT_WORD, ACCEPT), (FIG_REJECT_WORD, REJECT)):
             calls.update(dict.fromkeys(calls, 0))
             assert apply(two_branch, word) == verdict
             assert calls == {"check_word": 1, "accepting_run": 0}
+
+    @pytest.mark.parametrize(
+        "fixture,word,verdict,searches,traversals",
+        [
+            ("two_branch", FIG_ACCEPT_WORD, ACCEPT, 1, 0),
+            ("two_branch", FIG_REJECT_WORD, REJECT, 0, 1),
+            ("abstar", "abbb", ACCEPT, 0, 0),  # the dfa's trace is its accepting run
+            ("abstar", "ba", REJECT, 0, 1),
+        ],
+    )
+    def test_apply_trace_and_graph_on_one_word_walk_and_search_once(
+        self, request, monkeypatch, fixture, word, verdict, searches, traversals
+    ):
+        # the machine's last word keeps its S_n and accepting run, so the trace
+        # and graph that follow apply on the same word walk and search no more
+        machine = request.getfixturevalue(fixture)
+        names = ["check_word", "_state_sets", "_search", "computation_tree_to_cg_edges"]
+        calls = count_calls(monkeypatch, names)
+        assert apply(machine, word) == verdict
+        show_transitions(machine, word)
+        assert build_computation_graph(machine, word).verdict == verdict
+        assert calls == {
+            "check_word": 3,
+            "_state_sets": 1,
+            "_search": searches,
+            "computation_tree_to_cg_edges": traversals,
+        }
 
     def test_emp_chain_on_empty_word_highlights_chain_ends(self):
         m = make_ndfa(["S", "T", "U"], ["a"], "S", [], [("S", EMP, "T"), ("T", EMP, "U")])

@@ -23,7 +23,7 @@ from fa import (
     make_ndfa,
     show_transitions,
 )
-from fa.execution import accepting_run
+from fa.execution import accepting_run, end_states
 from helpers import (
     brute_force_accepts,
     dfa_with_word,
@@ -450,31 +450,71 @@ def forget_tables():
     fa.execution._last = None
 
 
-def interleaved_cases(seed, machines=12, count=2400, max_len=8):
-    """``count`` (machine, word) pairs drawn at random from a pool of seeded
-    ndfas and their subset dfas, so that consecutive calls switch machines.
+def machine_pool(rng, machines):
+    """(machine, regex) pairs: seeded ndfas and their subset dfas.
 
-    Half the ndfas are Thompson machines of random regexes, and half of
-    their words are drawn from the regex, so that many words are accepted.
+    Half the ndfas are Thompson machines of random regexes (regex None for
+    the others), so that draw_word can draw accepted words.
     """
-    rng = random.Random(seed)
     pool = []
     for n in range(machines // 2):
         regex = random_regex(rng, depth=3) if n % 2 else None
         ndfa = thompson_ndfa(regex) if regex else random_ndfa(rng, max_states=6, max_rules=14)
         pool += [(ndfa, regex), (subset_dfa(ndfa), regex)]
+    return pool
+
+
+def draw_word(rng, machine, regex, max_len):
+    """A word of the regex half the time, when there is one, else a random word."""
+    if regex and rng.random() < 0.5:
+        return sample_word(rng.randint, regex)
+    return random_word(rng, machine, max_len=max_len)
+
+
+def interleaved_cases(seed, machines=12, count=2400, max_len=8):
+    """``count`` (machine, word) pairs drawn at random from a machine_pool,
+    so that consecutive calls switch machines."""
+    rng = random.Random(seed)
+    pool = machine_pool(rng, machines)
     cases = []
     for _ in range(count):
         machine, regex = rng.choice(pool)
-        if regex and rng.random() < 0.5:
-            cases.append((machine, sample_word(rng.randint, regex)))
-        else:
-            cases.append((machine, random_word(rng, machine, max_len=max_len)))
+        cases.append((machine, draw_word(rng, machine, regex, max_len)))
     return cases
 
 
+SPELLINGS = ("".join, list, tuple)
+ACTIONS = (apply, show_transitions, build_computation_graph)
+
+
+def searched(machine, word):
+    return accepting_run(machine, tuple(word))
+
+
+def same_machine_cases(seed, machines=12, calls=60, words=5, max_len=8):
+    """(action, machine, word) triples that ask each machine of a machine_pool
+    ``calls`` times in a row: consecutive calls ask it different words, and
+    earlier words come back, spelled anew as a str, list or tuple."""
+    rng = random.Random(seed)
+    cases = []
+    for machine, regex in machine_pool(rng, machines):
+        asked = sorted({draw_word(rng, machine, regex, max_len) for _ in range(4 * words)})[:words]
+        for _ in range(calls):
+            word = rng.choice(SPELLINGS)(rng.choice(asked))
+            cases.append((rng.choice(ACTIONS + (searched,)), machine, word))
+    return cases
+
+
+def fresh(action, machine, word):
+    """``action(machine, word)`` with no tables kept from an earlier call."""
+    forget_tables()
+    return action(machine, word)
+
+
 class TestMachineTables:
-    """The last machine used keeps its tables: what apply builds, the trace and graph reuse."""
+    """The last machine used keeps its tables and its last word: what apply
+    builds and finds (S_n, and an accepting run once a call has searched),
+    the trace and graph on the same machine and an equal word reuse."""
 
     @pytest.mark.parametrize(
         "fixture,accepted,rejected,tables",
@@ -559,6 +599,74 @@ class TestMachineTables:
         assert sorted(results) == [0, 1, 2, 3]
         for got in results.values():
             assert [got[i] for i in range(len(cases))] == expected
+
+    def test_one_machine_asked_many_words_matches_a_cache_reset_before_every_call(self):
+        cases = same_machine_cases(seed=31)
+        got = [action(m, w) for action, m, w in cases]
+        assert got == [fresh(action, m, w) for action, m, w in cases]
+        assert sum(apply(m, w) == ACCEPT for _, m, w in cases) > len(cases) // 10
+        # calls that ask a machine again for a word it was asked before another one
+        keys = [(id(m), tuple(w)) for _, m, w in cases]
+        back = sum(k != keys[i - 1] and k in keys[: i - 1] for i, k in enumerate(keys) if i)
+        assert back > len(cases) // 2
+
+    @pytest.mark.parametrize("kind", ["ndfa", "dfa"])
+    def test_threads_asking_one_machine_different_words_agree_with_a_serial_run(
+        self, two_branch, kind
+    ):
+        # threads that share a machine replace its last word under each other
+        machine = two_branch if kind == "ndfa" else subset_dfa(two_branch)
+        rng = random.Random(37)
+        words = set()
+        while len(words) < 80:  # about half accepted, each with its own run
+            word = "".join(rng.choice(("aba", "ab", "abbab")) for _ in range(rng.randint(0, 12)))
+            words.add(word + rng.choice(("", "", "b", "ba")))
+        words = [rng.choice(SPELLINGS)(w) for w in sorted(words)]
+        expected = [tuple(fresh(action, machine, w) for action in ACTIONS) for w in words]
+        assert 20 < sum(verdict == ACCEPT for verdict, _, _ in expected) < 60
+        results = {}
+
+        def worker(k):
+            order = list(range(len(words))) * 3
+            random.Random(k).shuffle(order)
+            results[k] = [(i, three_actions(machine, words[i])) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            assert all(result == expected[i] for i, result in got)
+
+    def test_a_run_found_while_another_word_was_asked_stays_with_its_word(
+        self, two_branch, monkeypatch
+    ):
+        # the interleaving the threads above can meet by chance: while the trace
+        # of w searches, another caller asks the same machine for v
+        w, v = tuple("abaaba"), tuple("abbab")
+        expected = {u: fresh(show_transitions, two_branch, u) for u in (w, v)}
+        assert expected[w].run != expected[v].run
+        search = fa.execution._search
+
+        def overtaken(machine, word):
+            monkeypatch.setattr(fa.execution, "_search", search)
+            end_states(machine, v)
+            return search(machine, word)
+
+        forget_tables()
+        monkeypatch.setattr(fa.execution, "_search", overtaken)
+        assert show_transitions(two_branch, w) == expected[w]
+        assert show_transitions(two_branch, v) == expected[v]
+        graph = build_computation_graph(two_branch, v)
+        assert graph == fresh(build_computation_graph, two_branch, v)
 
     def test_the_cache_keeps_one_machines_tables(self):
         def kept(seeds):
