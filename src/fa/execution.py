@@ -1,33 +1,17 @@
 """Running machines on words: verdicts, traces and computation graphs.
 
-apply decides a word by the last of its forward ε-closed state sets
-(the subset construction, simulated lazily), so it keeps no
-configurations. end_states gives that set to ndfa traces and to graphs,
-which decide by it first, so a rejected word runs no search. Only an
-accepted word runs accepting_run, one breadth-first search over (state,
-position) pairs, whose run is the Trace show_transitions returns and
-gives the accepted graph its edges. A pair reads only its state's rules,
-and the search keeps O(|Q|·|w|) pairs; no trace holds a suffix.
-
-A computation graph summarises every run on a word over the machine's
-own states, not its configurations: it keeps the rules some run takes and
-highlights the states where a run ends with the word consumed. A run
-stuck mid-word takes a dashed edge to a fresh dead state, which consumes
-the rest. An accepted word's graph is the one run show_transitions traces.
-
-The walks' tables are built once per machine: the last Machine used keeps
-them (_tables), so a trace or graph after apply on the same machine reads
-no rule and finds its state-set steps memoised. It also keeps the last
-word asked about, its S_n and, once found, its accepting run, so a trace
-or graph that follows on an equal word walks and searches nothing again.
-What is kept is bounded by one machine and one word: O(|rules|) entries,
-at most _MEMO_LIMIT steps and one run of O(|w|) pairs.
+apply decides a word by S_n, its last forward ε-closed state set, so it
+keeps no configurations. Traces and graphs decide by S_n first; only an
+accepted word runs accepting_run's (state, position) search. A computation
+graph keeps the rules some run takes over the machine's own states, and
+sends a run stuck mid-word along a dashed edge to a fresh dead state. The
+last Machine used keeps its tables and its last word (_Tables).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,10 +28,9 @@ from .machines import (
     fresh_dead_state,
 )
 
-# (state set, symbol) steps kept per machine, across calls. The limit bounds
-# the memo by O(|Q|) memory when the sets never repeat; words walked on small
-# machines meet a dozen or so distinct steps, so their hit rate does not
-# depend on it.
+# Row entries (state-set steps) kept per machine, across calls: O(|Q|) memory
+# when the sets never repeat. Words on small machines meet a dozen or so
+# distinct steps, so their hit rate does not depend on it.
 _MEMO_LIMIT = 256
 
 _Run = tuple[tuple[str, int], ...]
@@ -78,11 +61,12 @@ class _Tables:
     the last word asked about.
 
     ``moves`` (read -> state -> destinations; EMP is a read like any other)
-    serves _state_sets and _dfa_trace, ``memo`` serves _state_sets, and
-    ``leaving`` (per-state (read, dst, index) lists in machine order) serves
-    accepting_run. A dfa's moves come from dfa_delta, so a bad dfa built
-    directly fails every action. A build that raises keeps nothing, so it
-    raises on every call.
+    serves _walk and _dfa_trace, ``leaving`` (per-state (read, dst, index)
+    lists in machine order) serves accepting_run, and _walk keeps S_0
+    (``start``) and ``rows``: rows[S][symbol] is the step from state set S,
+    filled on a miss (``steps`` entries; racing threads may undercount). A
+    dfa's moves come from dfa_delta, so a bad dfa built directly fails
+    every action, and a build that raises keeps nothing.
 
     ``asked`` is (w, S_n, run) for the last checked word: end_states fills
     it, and accepting_run or a dfa's trace adds the accepting run (None
@@ -93,7 +77,9 @@ class _Tables:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.memo: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+        self.rows: dict[frozenset[str], dict[str, frozenset[str]]] = {}
+        self.steps = 0
+        self.start: frozenset[str] | None = None  # S_0, once a walk needs it
         self.asked: tuple[Word, frozenset[str], _Run | None] | None = None
 
     @cached_property
@@ -187,43 +173,45 @@ def _search(machine: Machine, w: Word) -> _Run | None:
     return None
 
 
-def _state_sets(machine: Machine, w: Word) -> Iterator[frozenset[str]]:
-    """The forward ε-closed state sets S_0, S_1, ... of the checked word ``w``.
+def _walk(machine: Machine, w: Word) -> frozenset[str]:
+    """S_n, the last forward ε-closed state set of the checked word ``w``.
 
-    S_0 is the EMP-closure of the start state and S_{i+1} the EMP-closure of
-    the states S_i reaches by reading w[i], so S_i holds exactly the states
-    some computation is in with w[i:] left to consume. The sets stop after
-    the first empty one, else after S_n. Steps are memoised on
-    (S_i, w[i]) for the machine, so once the sets repeat, in this call or
-    an earlier one, a symbol costs one dict lookup.
+    S_{i+1} is the EMP-closure of the states S_i reaches by reading w[i];
+    the walk stops at the first empty set. A step is two .get lookups (a
+    KeyError costs more where most steps miss); only a miss calls _closure.
     """
     tables = _tables(machine)
-    moves, memo = tables.moves, tables.memo
+    rows, moves = tables.rows, tables.moves
     emp = moves.get(EMP, {})
-
-    def closure(states: set[str]) -> frozenset[str]:
-        todo = list(states)
-        while todo:
-            for dst in emp.get(todo.pop(), ()):
-                if dst not in states:
-                    states.add(dst)
-                    todo.append(dst)
-        return frozenset(states)
-
-    current = closure({machine.start})
-    yield current
+    current = tables.start
+    if current is None:
+        current = tables.start = _closure(emp, {machine.start})
     for sym in w:
-        if not current:
-            return
-        key = (current, sym)
-        nxt = memo.get(key)
+        row = rows.get(current)
+        nxt = row.get(sym) if row is not None else None
         if nxt is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            row = moves.get(sym, {})
-            nxt = memo[key] = closure({d for q in current for d in row.get(q, ())})
+            step = moves.get(sym, {})
+            nxt = _closure(emp, {d for q in current for d in step.get(q, ())})
+            if not nxt:
+                return nxt
+            if tables.steps >= _MEMO_LIMIT:
+                rows.clear()
+                tables.steps = 0
+            rows.setdefault(current, {})[sym] = nxt
+            tables.steps += 1
         current = nxt
-        yield current
+    return current
+
+
+def _closure(emp: dict[str, list[str]], states: set[str]) -> frozenset[str]:
+    """The EMP-closure of ``states``, which it extends in place."""
+    todo = list(states)
+    while todo:
+        for dst in emp.get(todo.pop(), ()):
+            if dst not in states:
+                states.add(dst)
+                todo.append(dst)
+    return frozenset(states)
 
 
 def end_states(machine: Machine, w: Word) -> frozenset[str]:
@@ -237,8 +225,7 @@ def end_states(machine: Machine, w: Word) -> frozenset[str]:
     asked = tables.asked
     if asked is not None and asked[0] == w:
         return asked[1]
-    for last in _state_sets(machine, w):
-        pass
+    last = _walk(machine, w)
     tables.asked = (w, last, None)
     return last
 

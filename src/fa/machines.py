@@ -246,8 +246,14 @@ def fresh_dead_state(states: Sequence[str]) -> str:
 
 
 def check_word(machine: Machine, word: Sequence[str]) -> Word:
-    """Normalize ``word`` to a symbol tuple, rejecting out-of-alphabet symbols."""
+    """Normalize ``word`` to a symbol tuple, rejecting out-of-alphabet symbols:
+    one set test passes it, else an ordered scan names the first bad symbol."""
     w = tuple(word)
+    try:
+        if frozenset(machine.sigma).issuperset(w):
+            return w
+    except TypeError:
+        pass
     for sym in w:
         if sym not in machine.sigma:
             raise WordError(

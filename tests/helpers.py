@@ -1,4 +1,5 @@
-"""Brute-force reference implementations and machine generators for tests.
+"""Brute-force reference implementations, machine generators and a call
+counter for tests.
 
 The oracles here work directly off a machine's rule list with their own
 plain traversals, so they share no code with the library paths they check.
@@ -9,6 +10,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
+import fa.execution
 from fa import EMP, make_dfa, make_ndfa
 
 STATE_POOL = ("S", "A", "B", "C", "D", "E")
@@ -56,6 +58,28 @@ def computation_census(machine, word):
     return end_states, used_rules, stuck
 
 
+def forward_sets(machine, word):
+    """S_0, ..., S_n of ``word`` (or up to the first empty one), by plain scans of the rule list."""
+
+    def closed(states):
+        todo = list(states)
+        while todo:
+            q = todo.pop()
+            for src, read, dst in machine.rules:
+                if src == q and read == EMP and dst not in states:
+                    states.add(dst)
+                    todo.append(dst)
+        return frozenset(states)
+
+    sets = [closed({machine.start})]
+    for sym in word:
+        if not sets[-1]:
+            break
+        moved = {dst for src, read, dst in machine.rules if src in sets[-1] and read == sym}
+        sets.append(closed(moved))
+    return sets
+
+
 def first_accepting_run(machine, word):
     """The accepting computation a breadth-first search over configurations meets first.
 
@@ -89,6 +113,22 @@ def first_accepting_run(machine, word):
                 parent[succ] = config
                 queue.append(succ)
     return None
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls made to each of ``names`` in fa.execution, by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
+    return calls
 
 
 def random_ndfa(rng, max_states=6, max_rules=12):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fa.execution
 from fa import (
     ACCEPT,
     EMP,
@@ -15,7 +14,13 @@ from fa import (
     show_transitions,
 )
 from fa.execution import computation_tree_to_cg_edges, edges_for_configuration, next_configurations
-from helpers import computation_census, dfa_with_word, ndfa_with_word, regex_ndfa_with_word
+from helpers import (
+    computation_census,
+    count_calls,
+    dfa_with_word,
+    ndfa_with_word,
+    regex_ndfa_with_word,
+)
 
 
 def dead_edge(src, read, dst="ds"):
@@ -24,22 +29,6 @@ def dead_edge(src, read, dst="ds"):
 
 FIG_REJECT_WORD = "abbabb"
 FIG_ACCEPT_WORD = "abaaba"
-
-
-def count_calls(monkeypatch, names):
-    """Count the calls made to each of ``names`` in fa.execution, by name."""
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, func):
-        def wrapper(*args):
-            calls[name] += 1
-            return func(*args)
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
-    return calls
 
 
 class TestEdgesForConfiguration:
@@ -210,7 +199,7 @@ class TestBuildComputationGraph:
         # one pass over the state sets decides; only an accepted word searches for
         # its run, and only a rejected word is traversed
         names = ["check_word", "accepting_run", "computation_tree_to_cg_edges", "end_states"]
-        calls = count_calls(monkeypatch, [*names, "_state_sets"])
+        calls = count_calls(monkeypatch, [*names, "_walk"])
         for word, searches, traversals in ((FIG_ACCEPT_WORD, 1, 0), (FIG_REJECT_WORD, 0, 1)):
             calls.update(dict.fromkeys(calls, 0))
             build_computation_graph(two_branch, word)
@@ -219,7 +208,7 @@ class TestBuildComputationGraph:
                 "accepting_run": searches,
                 "computation_tree_to_cg_edges": traversals,
                 "end_states": 1,
-                "_state_sets": 1,
+                "_walk": 1,
             }
 
     def test_apply_checks_the_word_once_and_runs_no_search(self, two_branch, monkeypatch):
@@ -245,14 +234,14 @@ class TestBuildComputationGraph:
         # the machine's last word keeps its S_n and accepting run, so the trace
         # and graph that follow apply on the same word walk and search no more
         machine = request.getfixturevalue(fixture)
-        names = ["check_word", "_state_sets", "_search", "computation_tree_to_cg_edges"]
+        names = ["check_word", "_walk", "_search", "computation_tree_to_cg_edges"]
         calls = count_calls(monkeypatch, names)
         assert apply(machine, word) == verdict
         show_transitions(machine, word)
         assert build_computation_graph(machine, word).verdict == verdict
         assert calls == {
             "check_word": 3,
-            "_state_sets": 1,
+            "_walk": 1,
             "_search": searches,
             "computation_tree_to_cg_edges": traversals,
         }

@@ -20,14 +20,17 @@ from fa import (
     WordError,
     apply,
     build_computation_graph,
+    check_word,
     make_ndfa,
     show_transitions,
 )
 from fa.execution import accepting_run, end_states
 from helpers import (
     brute_force_accepts,
+    count_calls,
     dfa_with_word,
     first_accepting_run,
+    forward_sets,
     ndfa_with_word,
     random_ndfa,
     random_regex,
@@ -83,6 +86,26 @@ class TestApply:
             apply(abstar, "az")
         assert info.value.code == "symbol-not-in-sigma"
         assert str(info.value) == "word symbol 'z' is not in the machine's alphabet"
+
+    @pytest.mark.parametrize(
+        "word,bad",
+        [
+            (("a", ["a"]), ["a"]),
+            (("a", {"x": 1}), {"x": 1}),
+            (("a", 1), 1),
+            ((None, "a"), None),
+            (("a", ["a"], "z"), ["a"]),
+            (("b", "z", ["a"]), "z"),
+        ],
+    )
+    def test_the_first_symbol_outside_the_alphabet_is_named(self, abstar, word, bad):
+        # one set test passes a good word; a miss or an unhashable symbol
+        # falls back to a scan in word order
+        for call in (check_word, apply):
+            with pytest.raises(WordError) as info:
+                call(abstar, word)
+            assert info.value.code == "symbol-not-in-sigma"
+            assert str(info.value) == f"word symbol {bad!r} is not in the machine's alphabet"
 
     @pytest.mark.parametrize(
         "rules,word,expected",
@@ -188,17 +211,7 @@ class TestShowTransitions:
 
     def test_only_an_accepted_ndfa_word_is_searched(self, two_branch, abstar, monkeypatch):
         # one pass over the state sets decides an ndfa word; a dfa runs its one run
-        calls = {"accepting_run": 0, "_state_sets": 0}
-
-        def counting(name, func):
-            def wrapper(*args):
-                calls[name] += 1
-                return func(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(fa.execution, name, counting(name, getattr(fa.execution, name)))
+        calls = count_calls(monkeypatch, ["accepting_run", "_walk"])
         for machine, word, searches, passes in (
             (two_branch, "abbabb", 0, 1),
             (two_branch, "abaaba", 1, 1),
@@ -207,7 +220,7 @@ class TestShowTransitions:
         ):
             calls.update(dict.fromkeys(calls, 0))
             show_transitions(machine, word)
-            assert calls == {"accepting_run": searches, "_state_sets": passes}
+            assert calls == {"accepting_run": searches, "_walk": passes}
 
 
 @given(ndfa_with_word(max_states=5))
@@ -695,3 +708,43 @@ class TestMachineTables:
         assert 0 < one_tables < one
         assert many_tables <= 1.1 * one_tables
         assert many <= one + 0.1 * one_tables
+
+
+class TestRowTable:
+    """The walk keeps each state set's steps as a row, as a lazy DFA does:
+    only a step it has not kept computes a closure, and _MEMO_LIMIT bounds
+    the entries kept."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_long_word_misses_at_most_once_per_state_set_and_symbol(
+        self, two_branch, monkeypatch, seed
+    ):
+        rng = random.Random(seed)
+        units = [rng.choice(("aba", "ab", "abbab")) for _ in range(4000)]
+        word = tuple("".join(units))[:10_000]
+        sets = forward_sets(two_branch, word)
+        assert len(sets) == len(word) + 1 and sets[-1]  # no run dies, the walk goes to S_n
+        forget_tables()
+        closures = count_calls(monkeypatch, ["_closure"])
+        assert end_states(two_branch, word) == sets[-1]
+        # one closure for S_0, then one per miss
+        assert 0 < closures["_closure"] - 1 <= len(set(sets)) * len(two_branch.sigma)
+        assert len(set(sets)) < 20  # the sets repeat, so nearly every step is a row hit
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_a_table_cleared_mid_walk_keeps_every_verdict(self, monkeypatch, limit):
+        monkeypatch.setattr(fa.execution, "_MEMO_LIMIT", limit)
+        closures = count_calls(monkeypatch, ["_closure"])
+        rng = random.Random(43 + limit)
+        cleared = accepted = 0
+        for machine, regex in machine_pool(rng, machines=40):
+            for _ in range(10):
+                word = draw_word(rng, machine, regex, max_len=10)
+                closures["_closure"] = 0
+                verdict = apply(machine, word)
+                assert (verdict == ACCEPT) == brute_force_accepts(machine, word)
+                tables = fa.execution._last
+                assert tables.steps == sum(map(len, tables.rows.values())) <= limit
+                cleared += closures["_closure"] > limit + 1  # S_0 and more misses than fit
+                accepted += verdict == ACCEPT
+        assert cleared > 50 and accepted > 50
