@@ -4,12 +4,14 @@ apply decides a word by S_n, its last forward ε-closed state set, so it
 keeps no configurations. Traces and graphs decide by S_n first; only an
 accepted word runs accepting_run's (state, position) search. A computation
 graph keeps the rules some run takes over the machine's own states, and
-sends a run stuck mid-word along a dashed edge to a fresh dead state. The
-last Machine used keeps its tables and its last word (_Tables).
+sends a run stuck mid-word along a dashed edge to a fresh dead state.
+Recently used machines keep their tables (_Tables) under two shared
+budgets, and the last word asked about is kept once (_asked).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
@@ -28,9 +30,17 @@ from .machines import (
     fresh_dead_state,
 )
 
-# Row entries (state-set steps) kept per machine, across calls: O(|Q|) memory
-# when the sets never repeat. Words on small machines meet a dozen or so
-# distinct steps, so their hit rate does not depend on it.
+# Rules of the machines whose tables are kept (the last machine's are kept
+# whatever its size): about 2.6 MiB of tables on random 150-state ndfas.
+_RULE_BUDGET = 2**14
+# States held by the rows of every kept machine together, about 0.2 MiB on
+# the same machines; a machine walking past it clears the others' rows.
+_ROW_BUDGET = 4096
+# Row entries (state-set steps) kept per machine: O(|Q|) memory when the
+# sets never repeat. One long walk on a 300-state ndfa meets about 300
+# distinct steps of 220 states, far past _ROW_BUDGET, so a machine's own
+# rows answer to this limit alone. Words on small machines meet a dozen
+# or so distinct steps, so their hit rate depends on neither.
 _MEMO_LIMIT = 256
 
 _Run = tuple[tuple[str, int], ...]
@@ -57,40 +67,36 @@ class Trace(NamedTuple):
 
 
 class _Tables:
-    """One Machine's tables, each built the first time a call needs it, and
-    the last word asked about.
+    """One kept Machine's tables, each built the first time a call needs it.
 
     ``moves`` (read -> state -> destinations; EMP is a read like any other)
     serves _walk and _dfa_trace, ``leaving`` (per-state (read, dst, index)
     lists in machine order) serves accepting_run, and _walk keeps S_0
     (``start``) and ``rows``: rows[S][symbol] is the step from state set S,
-    filled on a miss (``steps`` entries; racing threads may undercount). A
-    dfa's moves come from dfa_delta, so a bad dfa built directly fails
-    every action, and a build that raises keeps nothing.
-
-    ``asked`` is (w, S_n, run) for the last checked word: end_states fills
-    it, and accepting_run or a dfa's trace adds the accepting run (None
-    until one is found). Callers read it once and replace it whole, so
-    threads asking one machine different words never pair one word's run
-    with another word's S_n.
+    filled on a miss; ``steps`` counts its entries and ``held`` the states
+    they hold. A dfa's moves come from dfa_delta, so a bad dfa built
+    directly fails every action, and a build that raises keeps nothing.
+    The record holds its machine, so no other machine can take its id
+    while it is kept.
     """
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.rows: dict[frozenset[str], dict[str, frozenset[str]]] = {}
-        self.steps = 0
+        self.steps = self.held = 0
         self.start: frozenset[str] | None = None  # S_0, once a walk needs it
-        self.asked: tuple[Word, frozenset[str], _Run | None] | None = None
 
     @cached_property
-    def moves(self) -> dict[str, dict[str, list[str]]]:
+    def moves(self) -> dict[str, dict[str, tuple[str, ...]]]:
         rules = self.machine.rules
         if self.machine.kind == DFA:  # dfa_delta checks the rules as it reads them
             rules = [(src, read, dst) for (src, read), dst in dfa_delta(rules).items()]
         moves: dict[str, dict[str, list[str]]] = {}
         for src, read, dst in rules:
             moves.setdefault(read, {}).setdefault(src, []).append(dst)
-        return moves
+        # kept across calls: as tuples the destinations take 31 % fewer bytes
+        # (measured on the benchmark's wide_machine ndfas)
+        return {read: {src: tuple(dsts) for src, dsts in row.items()} for read, row in moves.items()}
 
     @cached_property
     def leaving(self) -> dict[str, list[tuple[str, str, int]]]:
@@ -100,21 +106,84 @@ class _Tables:
         return leaving
 
 
+# id(machine) -> its record, least recently used first; _last is the newest.
+# _lock guards the cache and both budgets' counts; the fast path of
+# _tables reads _last alone.
+_cache: dict[int, _Tables] = {}
 _last: _Tables | None = None
+_kept_rules = 0
+_row_states = 0
+_lock = threading.Lock()
+
+# (machine, w, S_n, run) for the last checked word: end_states fills it, and
+# accepting_run or a dfa's trace adds the accepting run (None until one is
+# found). Callers read it once and replace it whole, so threads asking
+# different words never pair one word's run with another word's S_n.
+_asked: tuple[Machine, Word, frozenset[str], _Run | None] | None = None
 
 
 def _tables(machine: Machine) -> _Tables:
-    """The tables of ``machine``, kept for the last machine only.
+    """The tables of ``machine``, kept while its rules fit _RULE_BUDGET.
 
-    The key is identity: equality would hash every rule on every call.
-    Threads that race here at worst build a table twice, as each call
-    reads the one record it got.
+    The key is identity: equality would hash every rule on every call. A
+    switch to another machine moves its record to the newest end and
+    evicts the oldest records until the kept rules fit the budget again.
     """
-    global _last
+    global _last, _kept_rules, _row_states
     tables = _last
-    if tables is None or tables.machine is not machine:
-        tables = _last = _Tables(machine)
+    if tables is not None and tables.machine is machine:
+        return tables
+    with _lock:
+        tables = _cache.pop(id(machine), None)
+        if tables is None:
+            tables = _Tables(machine)
+            _kept_rules += len(machine.rules)
+        _cache[id(machine)] = tables
+        while _kept_rules > _RULE_BUDGET and len(_cache) > 1:
+            old = _cache.pop(next(iter(_cache)))
+            _kept_rules -= len(old.machine.rules)
+            _row_states -= old.held
+        _last = tables
     return tables
+
+
+def _keep(tables: _Tables, current: frozenset[str], sym: str, nxt: frozenset[str]) -> None:
+    """Keep the step current --sym--> nxt as a row entry of ``tables``.
+
+    Full rows (_MEMO_LIMIT steps) are cleared first. When the step would
+    pass _ROW_BUDGET, so are the rows of every other kept machine. A walk
+    on a record evicted meanwhile only overcounts.
+    """
+    global _row_states
+    n = len(nxt)
+    with _lock:
+        if tables.steps >= _MEMO_LIMIT:
+            _clear_rows(tables)
+        if _row_states + n > _ROW_BUDGET and _row_states > tables.held:
+            for kept in _cache.values():
+                if kept is not tables:
+                    _clear_rows(kept)
+        tables.rows.setdefault(current, {})[sym] = nxt
+        tables.steps += 1
+        tables.held += n
+        _row_states += n
+
+
+def _clear_rows(tables: _Tables) -> None:
+    """Empty the rows of ``tables``; the caller holds _lock."""
+    global _row_states
+    _row_states -= tables.held
+    tables.rows.clear()
+    tables.steps = tables.held = 0
+
+
+def _forget() -> None:
+    """Drop every kept table, row and word, as at import."""
+    global _last, _kept_rules, _row_states, _asked
+    with _lock:
+        _cache.clear()
+        _last = _asked = None
+        _kept_rules = _row_states = 0
 
 
 def accepting_run(machine: Machine, w: Word) -> _Run | None:
@@ -122,18 +191,18 @@ def accepting_run(machine: Machine, w: Word) -> _Run | None:
 
     ``i`` counts the symbols consumed so far, so (q, i) stands for
     Config(q, w[i:]). None means no computation accepts. The run found for
-    the machine's last word is kept next to that word's S_n, so asking
-    again for an equal word searches nothing.
+    the last word is kept next to that word's S_n, so asking again for an
+    equal word on the same machine searches nothing.
     """
-    tables = _tables(machine)
-    asked = tables.asked
-    if asked is None or asked[0] != w:  # no S_n of w to keep a run next to
-        return _search(machine, w)
-    word, ends, run = asked
+    global _asked
+    asked = _asked
+    if asked is None or asked[0] is not machine or asked[1] != w:
+        return _search(machine, w)  # no S_n of w to keep a run next to
+    _, word, ends, run = asked
     if run is None:
         run = _search(machine, w)
         if run is not None:
-            tables.asked = (word, ends, run)
+            _asked = (machine, word, ends, run)
     return run
 
 
@@ -194,16 +263,12 @@ def _walk(machine: Machine, w: Word) -> frozenset[str]:
             nxt = _closure(emp, {d for q in current for d in step.get(q, ())})
             if not nxt:
                 return nxt
-            if tables.steps >= _MEMO_LIMIT:
-                rows.clear()
-                tables.steps = 0
-            rows.setdefault(current, {})[sym] = nxt
-            tables.steps += 1
+            _keep(tables, current, sym, nxt)
         current = nxt
     return current
 
 
-def _closure(emp: dict[str, list[str]], states: set[str]) -> frozenset[str]:
+def _closure(emp: dict[str, tuple[str, ...]], states: set[str]) -> frozenset[str]:
     """The EMP-closure of ``states``, which it extends in place."""
     todo = list(states)
     while todo:
@@ -218,15 +283,15 @@ def end_states(machine: Machine, w: Word) -> frozenset[str]:
     """S_n for the checked word ``w``: the states some computation ends in
     with all of ``w`` consumed, empty when every run gets stuck first.
 
-    It is kept as the machine's last word, so asking again for an equal
-    word walks no state set.
+    It is kept as the last word, so asking again for an equal word on the
+    same machine walks no state set.
     """
-    tables = _tables(machine)
-    asked = tables.asked
-    if asked is not None and asked[0] == w:
-        return asked[1]
+    global _asked
+    asked = _asked
+    if asked is not None and asked[0] is machine and asked[1] == w:
+        return asked[2]
     last = _walk(machine, w)
-    tables.asked = (w, last, None)
+    _asked = (machine, w, last, None)
     return last
 
 
@@ -262,8 +327,8 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
-    tables = _tables(machine)
-    moves = tables.moves
+    global _asked
+    moves = _tables(machine).moves
     state = machine.start
     steps = [(state, 0)]
     for i, sym in enumerate(w):
@@ -278,7 +343,7 @@ def _dfa_trace(machine: Machine, w: Word) -> Trace:
     accepted = state in machine.finals
     # a dfa has no EMP rule, so S_n is the one state its run ends in, and
     # its one run is the run accepting_run would find
-    tables.asked = (w, frozenset((state,)), run if accepted else None)
+    _asked = (machine, w, frozenset((state,)), run if accepted else None)
     return Trace(w, run, ACCEPT if accepted else REJECT)
 
 

@@ -69,10 +69,10 @@ class Machine(NamedTuple):
     Instances are immutable and safe to share across threads. The
     components are tuples, and must stay unchanged once a call has used
     the machine: fa.execution keeps the tables it builds from the rules of
-    the last machine used, found by identity, and reuses them while that
-    same object comes back. With them it keeps that machine's last word,
-    its last state set and its accepting run, which a trace or graph of
-    an equal word reuses.
+    recently used machines, found by identity, and reuses them whenever
+    that same object comes back. It also keeps the last word asked about,
+    with its machine, its last state set and its accepting run, which a
+    trace or graph of an equal word on that machine reuses.
     """
 
     kind: str

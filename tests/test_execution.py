@@ -460,7 +460,7 @@ def three_actions(machine, word):
 
 
 def forget_tables():
-    fa.execution._last = None
+    fa.execution._forget()
 
 
 def machine_pool(rng, machines):
@@ -524,10 +524,38 @@ def fresh(action, machine, word):
     return action(machine, word)
 
 
+def agree_under_threads(cases):
+    """Four threads run three_actions on every case, each in its own shuffled
+    order, and each gets what a serial run gets."""
+    expected = [three_actions(m, w) for m, w in cases]
+    results = {}
+
+    def worker(k):
+        order = list(range(len(cases)))
+        random.Random(k).shuffle(order)
+        results[k] = {i: three_actions(*cases[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert [got[i] for i in range(len(cases))] == expected
+
+
 class TestMachineTables:
-    """The last machine used keeps its tables and its last word: what apply
-    builds and finds (S_n, and an accepting run once a call has searched),
-    the trace and graph on the same machine and an equal word reuse."""
+    """Recently used machines keep their tables, and the last word asked
+    about is kept: what apply builds and finds (S_n, and an accepting run
+    once a call has searched), the trace and graph on the same machine and
+    an equal word reuse."""
 
     @pytest.mark.parametrize(
         "fixture,accepted,rejected,tables",
@@ -558,8 +586,10 @@ class TestMachineTables:
         assert twin == two_branch and twin is not two_branch
         assert three_actions(twin, "abbab") == three_actions(two_branch, "abbab")
         assert rules.iterations == 2
-        show_transitions(twin, "abbab")
-        assert rules.iterations == 4
+        # switching back to the twin rebuilds nothing
+        assert three_actions(twin, "abbab") == three_actions(two_branch, "abbab")
+        assert show_transitions(twin, "abaaba").verdict == ACCEPT
+        assert rules.iterations == 2
         # a _replace'd machine shares the rule tuple, but never the tables
         fewer = two_branch._replace(rules=tuple(r for r in two_branch.rules if r != ("D", EMP, "S")))
         moved = two_branch._replace(start="B")
@@ -587,31 +617,55 @@ class TestMachineTables:
         assert got == expected
         assert sum(v == ACCEPT for v, _, _ in got) > len(cases) // 10
 
+    def test_interleaved_machines_build_each_table_once_and_miss_each_step_once(
+        self, two_branch, abstar, monkeypatch
+    ):
+        # a machine asked again after others keeps its tables and rows: each
+        # table reads the rule list once, and after a machine's first word only
+        # a step it never took (or one into the empty set) computes a closure
+        bases = (two_branch, subset_dfa(two_branch), abstar)
+        machines = [m._replace(rules=CountingRules(m.rules)) for m in bases]
+        rng = random.Random(41)
+        forget_tables()
+        closures = count_calls(monkeypatch, ["_closure"])
+        asked, pairs, later, dead, accepted = set(), set(), 0, 0, 0
+        for _ in range(300):
+            k = rng.randrange(3)
+            machine = machines[k]
+            units = [rng.choice(("aba", "ab", "abbab")) for _ in range(rng.randint(0, 4))]
+            word = "".join(units) + rng.choice(("", "b", "ba"))
+            closures["_closure"] = 0
+            verdict = apply(machine, word)
+            trace = show_transitions(machine, word)
+            assert (trace is not None and trace.verdict == ACCEPT) == (verdict == ACCEPT)
+            accepted += verdict == ACCEPT and k == 0
+            if k not in asked:
+                asked.add(k)
+                continue
+            later += closures["_closure"]
+            sets = forward_sets(bases[k], word)  # scans that the counts leave out
+            pairs.update((k, s, a) for s, a in zip(sets, word))
+            dead += not sets[-1]
+        assert accepted > 20 and len(asked) == 3
+        assert [m.rules.iterations for m in machines] == [2, 1, 1]  # moves (and leaving)
+        assert later <= len(pairs) + dead
+        assert len(pairs) < 100  # the words repeat their steps
+
     def test_threads_on_interleaved_machines_agree_with_a_serial_run(self):
         # long words give a thread more steps in which another can switch machines
-        cases = interleaved_cases(seed=29, count=600, max_len=40)
-        expected = [three_actions(m, w) for m, w in cases]
-        results = {}
+        agree_under_threads(interleaved_cases(seed=29, count=600, max_len=40))
 
-        def worker(k):
-            order = list(range(len(cases)))
-            random.Random(k).shuffle(order)
-            results[k] = {i: three_actions(*cases[i]) for i in order}
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(results) == [0, 1, 2, 3]
-        for got in results.values():
-            assert [got[i] for i in range(len(cases))] == expected
+    @pytest.mark.parametrize(
+        "budgets",
+        [{"_RULE_BUDGET": 1}, {"_ROW_BUDGET": 8, "_MEMO_LIMIT": 4}],
+        ids=["every-switch-evicts", "rows-cleared-under-walks"],
+    )
+    def test_threads_on_machines_that_evict_each_other_agree_with_a_serial_run(
+        self, monkeypatch, budgets
+    ):
+        for name, value in budgets.items():
+            monkeypatch.setattr(fa.execution, name, value)
+        agree_under_threads(interleaved_cases(seed=47, count=300, max_len=40))
 
     def test_one_machine_asked_many_words_matches_a_cache_reset_before_every_call(self):
         cases = same_machine_cases(seed=31)
@@ -681,7 +735,10 @@ class TestMachineTables:
         graph = build_computation_graph(two_branch, v)
         assert graph == fresh(build_computation_graph, two_branch, v)
 
-    def test_the_cache_keeps_one_machines_tables(self):
+    def test_the_cache_keeps_one_machines_tables(self, monkeypatch):
+        # with a rule budget every machine passes, only the last one is kept
+        monkeypatch.setattr(fa.execution, "_RULE_BUDGET", 1)
+
         def kept(seeds):
             """Traced bytes still held after deciding and tracing each machine in turn,
             and the bytes that forgetting the tables then frees."""
@@ -709,11 +766,56 @@ class TestMachineTables:
         assert many_tables <= 1.1 * one_tables
         assert many <= one + 0.1 * one_tables
 
+    def test_the_kept_tables_and_rows_stay_within_their_budgets(self):
+        forget_tables()
+        tracemalloc.start()
+        try:
+            # one machine's bytes per rule (the machine's own and its tables')
+            # and per state held in its rows, with its word and trace
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            machine, word = walked_ndfa(99, length=24, size=150)
+            tables = fa.execution._tables(machine)
+            tables.moves, tables.leaving
+            gc.collect()
+            built = tracemalloc.get_traced_memory()[0]
+            assert apply(machine, word) == ACCEPT
+            gc.collect()
+            walked = tracemalloc.get_traced_memory()[0]
+            states = fa.execution._row_states
+            assert show_transitions(machine, word).verdict == ACCEPT
+            gc.collect()
+            one_word = tracemalloc.get_traced_memory()[0] - walked
+            per_rule = (built - start) / len(machine.rules)
+            per_state = (walked - built) / states
+            del machine, word, tables
+            forget_tables()
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            for seed in range(100):
+                machine, word = walked_ndfa(seed, length=24, size=150)
+                assert apply(machine, word) == ACCEPT
+                assert show_transitions(machine, word).verdict == ACCEPT
+            del machine, word
+            kept = len(fa.execution._cache)
+            assert fa.execution._kept_rules <= fa.execution._RULE_BUDGET
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            forget_tables()
+            tracemalloc.stop()
+        # the machines of about 470 rules that fit the rule budget are all kept
+        assert kept > 30
+        # the rows of the last machine walked may pass the row budget
+        rows = per_state * (fa.execution._ROW_BUDGET + states)
+        assert held <= 1.1 * (per_rule * fa.execution._RULE_BUDGET + rows) + one_word
+
 
 class TestRowTable:
     """The walk keeps each state set's steps as a row, as a lazy DFA does:
-    only a step it has not kept computes a closure, and _MEMO_LIMIT bounds
-    the entries kept."""
+    only a step it has not kept computes a closure. _MEMO_LIMIT bounds a
+    machine's entries, and _ROW_BUDGET the states that the other kept
+    machines' rows hold beside the walking machine's."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_a_long_word_misses_at_most_once_per_state_set_and_symbol(
@@ -734,6 +836,8 @@ class TestRowTable:
     @pytest.mark.parametrize("limit", [1, 2])
     def test_a_table_cleared_mid_walk_keeps_every_verdict(self, monkeypatch, limit):
         monkeypatch.setattr(fa.execution, "_MEMO_LIMIT", limit)
+        monkeypatch.setattr(fa.execution, "_ROW_BUDGET", limit)
+        forget_tables()  # rows kept under the default budgets would pass these
         closures = count_calls(monkeypatch, ["_closure"])
         rng = random.Random(43 + limit)
         cleared = accepted = 0
@@ -745,6 +849,11 @@ class TestRowTable:
                 assert (verdict == ACCEPT) == brute_force_accepts(machine, word)
                 tables = fa.execution._last
                 assert tables.steps == sum(map(len, tables.rows.values())) <= limit
+                kept = fa.execution._cache.values()
+                held = [len(s) for t in kept for row in t.rows.values() for s in row.values()]
+                assert fa.execution._row_states == sum(t.held for t in kept) == sum(held)
+                # every machine's rows but the last walker's fit the budget
+                assert sum(sorted(t.held for t in kept)[:-1]) <= limit
                 cleared += closures["_closure"] > limit + 1  # S_0 and more misses than fit
                 accepted += verdict == ACCEPT
         assert cleared > 50 and accepted > 50
