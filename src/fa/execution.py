@@ -1,12 +1,14 @@
 """Running machines on words: verdicts, traces and computation graphs.
 
 apply decides a word by S_n, its last forward ε-closed state set, so it
-keeps no configurations. Traces and graphs decide by S_n first; only an
-accepted word runs accepting_run's (state, position) search. A computation
-graph keeps the rules some run takes over the machine's own states, and
-sends a run stuck mid-word along a dashed edge to a fresh dead state.
-Recently used machines keep their tables (_Tables) under two shared
-budgets, and the last word asked about is kept once (_asked).
+keeps no configurations; an ndfa's state sets are int bit masks, bit k
+standing for machine.states[k]. Traces and graphs decide by S_n first;
+only an accepted word runs accepting_run's (state, position) search. A
+computation graph keeps the rules some run takes over the machine's own
+states, and sends a run stuck mid-word along a dashed edge to a fresh
+dead state. Recently used machines keep their tables (_Tables) under one
+rule budget, each with at most _MEMO_LIMIT row steps, and the last word
+asked about is kept once (_asked).
 """
 
 from __future__ import annotations
@@ -31,16 +33,12 @@ from .machines import (
 )
 
 # Rules of the machines whose tables are kept (the last machine's are kept
-# whatever its size): about 2.6 MiB of tables on random 150-state ndfas.
+# whatever its size): about 2.4 MiB of tables, masks and rows on random
+# 150-state ndfas asked one word each.
 _RULE_BUDGET = 2**14
-# States held by the rows of every kept machine together, about 0.2 MiB on
-# the same machines; a machine walking past it clears the others' rows.
-_ROW_BUDGET = 4096
-# Row entries (state-set steps) kept per machine: O(|Q|) memory when the
-# sets never repeat. One long walk on a 300-state ndfa meets about 300
-# distinct steps of 220 states, far past _ROW_BUDGET, so a machine's own
-# rows answer to this limit alone. Words on small machines meet a dozen
-# or so distinct steps, so their hit rate depends on neither.
+# Row entries (state-set steps, two masks each) kept per machine; full rows
+# are emptied. One long walk on a 300-state ndfa meets about 300 distinct
+# steps, and words on small machines a dozen or so.
 _MEMO_LIMIT = 256
 
 _Run = tuple[tuple[str, int], ...]
@@ -69,50 +67,60 @@ class Trace(NamedTuple):
 class _Tables:
     """One kept Machine's tables, each built the first time a call needs it.
 
-    ``moves`` (read -> state -> destinations; EMP is a read like any other)
-    serves _walk and _dfa_trace, ``leaving`` (per-state (read, dst, index)
-    lists in machine order) serves accepting_run, and _walk keeps S_0
-    (``start``) and ``rows``: rows[S][symbol] is the step from state set S,
-    filled on a miss; ``steps`` counts its entries and ``held`` the states
-    they hold. A dfa's moves come from dfa_delta, so a bad dfa built
-    directly fails every action, and a build that raises keeps nothing.
-    The record holds its machine, so no other machine can take its id
-    while it is kept.
+    ``moves`` (symbol -> state -> state, from dfa_delta) is a dfa's one
+    table, which _walk and _dfa_trace follow, so a bad dfa built directly
+    fails every action. ``leaving`` (per state, a (read, dst, position)
+    triple per rule, in machine order) serves accepting_run and an ndfa's
+    masks. An ndfa's state sets are masks: ``closures`` maps each state to
+    its EMP-closure, ``successors[symbol][k]`` is the closed-successor
+    mask of (symbol, states[k]), filled the first time _step needs it, and
+    ``rows`` is the lazy DFA, rows[symbol][S] the step from S, filled on a
+    miss; ``steps`` counts its entries. So a kept ndfa holds
+    O(|Q|·(|Σ|+1)) masks of |Q| bits, plus _MEMO_LIMIT row steps of two
+    masks each. A build that raises keeps nothing. The record holds its
+    machine, so no other machine can take its id while it is kept.
     """
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.rows: dict[frozenset[str], dict[str, frozenset[str]]] = {}
-        self.steps = self.held = 0
-        self.start: frozenset[str] | None = None  # S_0, once a walk needs it
+        self.rows: dict[str, dict[int, int]] = {sym: {} for sym in machine.sigma}
+        self.steps = 0
 
     @cached_property
-    def moves(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        rules = self.machine.rules
-        if self.machine.kind == DFA:  # dfa_delta checks the rules as it reads them
-            rules = [(src, read, dst) for (src, read), dst in dfa_delta(rules).items()]
-        moves: dict[str, dict[str, list[str]]] = {}
-        for src, read, dst in rules:
-            moves.setdefault(read, {}).setdefault(src, []).append(dst)
-        # kept across calls: as tuples the destinations take 31 % fewer bytes
-        # (measured on the benchmark's wide_machine ndfas)
-        return {read: {src: tuple(dsts) for src, dsts in row.items()} for read, row in moves.items()}
+    def moves(self) -> dict[str, dict[str, str]]:
+        moves: dict[str, dict[str, str]] = {}
+        for (src, read), dst in dfa_delta(self.machine.rules).items():
+            moves.setdefault(read, {})[src] = dst
+        return moves
 
     @cached_property
-    def leaving(self) -> dict[str, list[tuple[str, str, int]]]:
+    def leaving(self) -> dict[str, tuple[tuple[str, str, int], ...]]:
+        # exact tuples, not the Rules: a loop unpacks a tuple subclass about
+        # three times slower, which raised wide_machine's trace_s.p90 by 24 %
         leaving: dict[str, list[tuple[str, str, int]]] = {}
         for k, (src, read, dst) in enumerate(self.machine.rules):
             leaving.setdefault(src, []).append((read, dst, k))
-        return leaving
+        return {src: tuple(rules) for src, rules in leaving.items()}
+
+    @cached_property
+    def closures(self) -> dict[str, int]:
+        emp: dict[str, list[str]] = {}
+        for src, read, dst in self.machine.rules:
+            if read == EMP:
+                emp.setdefault(src, []).append(dst)
+        return _closures(self.machine.states, emp)
+
+    @cached_property
+    def successors(self) -> dict[str, list[int | None]]:
+        return {sym: [None] * len(self.machine.states) for sym in self.machine.sigma}
 
 
 # id(machine) -> its record, least recently used first; _last is the newest.
-# _lock guards the cache and both budgets' counts; the fast path of
-# _tables reads _last alone.
+# _lock guards the cache, the rule count and each record's row count; the
+# fast path of _tables reads _last alone.
 _cache: dict[int, _Tables] = {}
 _last: _Tables | None = None
 _kept_rules = 0
-_row_states = 0
 _lock = threading.Lock()
 
 # (machine, w, S_n, run) for the last checked word: end_states fills it, and
@@ -129,7 +137,7 @@ def _tables(machine: Machine) -> _Tables:
     switch to another machine moves its record to the newest end and
     evicts the oldest records until the kept rules fit the budget again.
     """
-    global _last, _kept_rules, _row_states
+    global _last, _kept_rules
     tables = _last
     if tables is not None and tables.machine is machine:
         return tables
@@ -142,48 +150,17 @@ def _tables(machine: Machine) -> _Tables:
         while _kept_rules > _RULE_BUDGET and len(_cache) > 1:
             old = _cache.pop(next(iter(_cache)))
             _kept_rules -= len(old.machine.rules)
-            _row_states -= old.held
         _last = tables
     return tables
 
 
-def _keep(tables: _Tables, current: frozenset[str], sym: str, nxt: frozenset[str]) -> None:
-    """Keep the step current --sym--> nxt as a row entry of ``tables``.
-
-    Full rows (_MEMO_LIMIT steps) are cleared first. When the step would
-    pass _ROW_BUDGET, so are the rows of every other kept machine. A walk
-    on a record evicted meanwhile only overcounts.
-    """
-    global _row_states
-    n = len(nxt)
-    with _lock:
-        if tables.steps >= _MEMO_LIMIT:
-            _clear_rows(tables)
-        if _row_states + n > _ROW_BUDGET and _row_states > tables.held:
-            for kept in _cache.values():
-                if kept is not tables:
-                    _clear_rows(kept)
-        tables.rows.setdefault(current, {})[sym] = nxt
-        tables.steps += 1
-        tables.held += n
-        _row_states += n
-
-
-def _clear_rows(tables: _Tables) -> None:
-    """Empty the rows of ``tables``; the caller holds _lock."""
-    global _row_states
-    _row_states -= tables.held
-    tables.rows.clear()
-    tables.steps = tables.held = 0
-
-
 def _forget() -> None:
     """Drop every kept table, row and word, as at import."""
-    global _last, _kept_rules, _row_states, _asked
+    global _last, _kept_rules, _asked
     with _lock:
         _cache.clear()
         _last = _asked = None
-        _kept_rules = _row_states = 0
+        _kept_rules = 0
 
 
 def accepting_run(machine: Machine, w: Word) -> _Run | None:
@@ -245,38 +222,124 @@ def _search(machine: Machine, w: Word) -> _Run | None:
 def _walk(machine: Machine, w: Word) -> frozenset[str]:
     """S_n, the last forward ε-closed state set of the checked word ``w``.
 
-    S_{i+1} is the EMP-closure of the states S_i reaches by reading w[i];
-    the walk stops at the first empty set. A step is two .get lookups (a
-    KeyError costs more where most steps miss); only a miss calls _closure.
+    A dfa follows its move table one state at a time; a missing move (a
+    dfa built directly, never completed) gets its run stuck. An ndfa's
+    S_{i+1} is the EMP-closure of the states S_i reaches by reading w[i],
+    as a mask: a step is a row lookup, and only a miss calls _step. The
+    walk stops at the first empty set, and only S_n is decoded into names.
     """
     tables = _tables(machine)
-    rows, moves = tables.rows, tables.moves
-    emp = moves.get(EMP, {})
-    current = tables.start
-    if current is None:
-        current = tables.start = _closure(emp, {machine.start})
+    if machine.kind == DFA:
+        moves, state = tables.moves, machine.start
+        try:
+            for sym in w:
+                state = moves[sym][state]
+        except KeyError:
+            return frozenset()
+        return frozenset((state,))
+    rows = tables.rows
+    current = tables.closures[machine.start]  # S_0
     for sym in w:
-        row = rows.get(current)
-        nxt = row.get(sym) if row is not None else None
+        nxt = rows[sym].get(current)
         if nxt is None:
-            step = moves.get(sym, {})
-            nxt = _closure(emp, {d for q in current for d in step.get(q, ())})
+            nxt = _step(tables, current, sym)
             if not nxt:
-                return nxt
+                return frozenset()
             _keep(tables, current, sym, nxt)
         current = nxt
-    return current
+    states, names = machine.states, []
+    while current:
+        k = current.bit_length() - 1
+        current ^= 1 << k
+        names.append(states[k])
+    return frozenset(names)
 
 
-def _closure(emp: dict[str, tuple[str, ...]], states: set[str]) -> frozenset[str]:
-    """The EMP-closure of ``states``, which it extends in place."""
-    todo = list(states)
-    while todo:
-        for dst in emp.get(todo.pop(), ()):
-            if dst not in states:
-                states.add(dst)
-                todo.append(dst)
-    return frozenset(states)
+def _step(tables: _Tables, current: int, sym: str) -> int:
+    """The mask S_i --sym--> S_{i+1}: the OR of the closed-successor masks
+    of the states in ``current``, each filled by _successor once."""
+    masks = tables.successors[sym]
+    nxt = 0
+    while current:
+        k = current.bit_length() - 1
+        current ^= 1 << k
+        mask = masks[k]
+        if mask is None:
+            mask = masks[k] = _successor(tables, sym, k)
+        nxt |= mask
+    return nxt
+
+
+def _successor(tables: _Tables, sym: str, k: int) -> int:
+    """The OR of the EMP-closures of the states that states[k] reads ``sym`` into."""
+    closures, mask = tables.closures, 0
+    for read, dst, _ in tables.leaving.get(tables.machine.states[k], ()):
+        if read == sym:
+            mask |= closures[dst]
+    return mask
+
+
+def _keep(tables: _Tables, current: int, sym: str, nxt: int) -> None:
+    """Keep the step current --sym--> nxt in the rows of ``tables``,
+    emptying them first once they hold _MEMO_LIMIT steps."""
+    with _lock:
+        if tables.steps >= _MEMO_LIMIT:
+            for row in tables.rows.values():
+                row.clear()
+            tables.steps = 0
+        tables.rows[sym][current] = nxt
+        tables.steps += 1
+
+
+def _closures(states: tuple[str, ...], emp: dict[str, list[str]]) -> dict[str, int]:
+    """Every state's EMP-closure as a mask, from one pass over the EMP graph.
+
+    The pass is Tarjan's (1972) strongly connected components algorithm,
+    with an explicit stack instead of recursion, over the states that have
+    EMP rules; any other state's closure is itself. It closes a component
+    only after every component its EMP rules reach, so the component's
+    closure is its own states OR the closures those rules lead to.
+    """
+    closure = {q: 1 << k for k, q in enumerate(states)}
+    number: dict[str, int] = {}  # visiting order from 1; past every order once closed
+    low: dict[str, int] = {}
+    closed = len(emp) + 1
+    open_: list[str] = []  # visited states whose component is not closed yet
+    for root in emp:
+        if root in number:
+            continue
+        number[root] = low[root] = len(number) + 1
+        open_.append(root)
+        path = [(root, iter(emp[root]))]
+        while path:
+            v, todo = path[-1]
+            for u in todo:
+                if u not in emp:
+                    continue
+                if u not in number:
+                    number[u] = low[u] = len(number) + 1
+                    open_.append(u)
+                    path.append((u, iter(emp[u])))
+                    break
+                if number[u] < low[v]:
+                    low[v] = number[u]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(open_.pop())
+                    mask = 0
+                    for u in members:
+                        mask |= closure[u]
+                        for d in emp[u]:
+                            mask |= closure[d]
+                    for u in members:
+                        closure[u] = mask
+                        number[u] = closed
+    return closure
 
 
 def end_states(machine: Machine, w: Word) -> frozenset[str]:
@@ -333,7 +396,7 @@ def _dfa_trace(machine: Machine, w: Word) -> Trace:
     steps = [(state, 0)]
     for i, sym in enumerate(w):
         try:
-            (state,) = moves[sym][state]
+            state = moves[sym][state]
         except KeyError:
             raise ValidationError(
                 "incomplete-dfa", f"dfa has no transition from {state} on {sym}"

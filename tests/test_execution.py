@@ -28,6 +28,7 @@ from fa.execution import accepting_run, end_states
 from helpers import (
     brute_force_accepts,
     count_calls,
+    cox_ndfa,
     dfa_with_word,
     first_accepting_run,
     forward_sets,
@@ -561,7 +562,7 @@ class TestMachineTables:
         "fixture,accepted,rejected,tables",
         [
             ("two_branch", ["abaaba", "abbab"], "bb", 2),  # state sets, per-state lists
-            ("abstar", ["abbb", "a"], "ba", 2),  # the dfa check shares the state sets' pass
+            ("abstar", ["abbb", "a"], "ba", 2),  # the dfa check shares the move table's pass
         ],
     )
     def test_each_table_reads_the_rule_list_once(self, request, fixture, accepted, rejected, tables):
@@ -622,19 +623,20 @@ class TestMachineTables:
     ):
         # a machine asked again after others keeps its tables and rows: each
         # table reads the rule list once, and after a machine's first word only
-        # a step it never took (or one into the empty set) computes a closure
+        # a step it never took (or one into the empty set) misses its rows; a
+        # dfa walks its move table and has no rows
         bases = (two_branch, subset_dfa(two_branch), abstar)
         machines = [m._replace(rules=CountingRules(m.rules)) for m in bases]
         rng = random.Random(41)
         forget_tables()
-        closures = count_calls(monkeypatch, ["_closure"])
+        misses = count_calls(monkeypatch, ["_step"])
         asked, pairs, later, dead, accepted = set(), set(), 0, 0, 0
         for _ in range(300):
             k = rng.randrange(3)
             machine = machines[k]
             units = [rng.choice(("aba", "ab", "abbab")) for _ in range(rng.randint(0, 4))]
             word = "".join(units) + rng.choice(("", "b", "ba"))
-            closures["_closure"] = 0
+            misses["_step"] = 0
             verdict = apply(machine, word)
             trace = show_transitions(machine, word)
             assert (trace is not None and trace.verdict == ACCEPT) == (verdict == ACCEPT)
@@ -642,13 +644,13 @@ class TestMachineTables:
             if k not in asked:
                 asked.add(k)
                 continue
-            later += closures["_closure"]
+            later += misses["_step"]
             sets = forward_sets(bases[k], word)  # scans that the counts leave out
             pairs.update((k, s, a) for s, a in zip(sets, word))
             dead += not sets[-1]
         assert accepted > 20 and len(asked) == 3
-        assert [m.rules.iterations for m in machines] == [2, 1, 1]  # moves (and leaving)
-        assert later <= len(pairs) + dead
+        assert [m.rules.iterations for m in machines] == [2, 1, 1]  # closures, leaving; moves
+        assert 0 < later <= len(pairs) + dead
         assert len(pairs) < 100  # the words repeat their steps
 
     def test_threads_on_interleaved_machines_agree_with_a_serial_run(self):
@@ -657,7 +659,7 @@ class TestMachineTables:
 
     @pytest.mark.parametrize(
         "budgets",
-        [{"_RULE_BUDGET": 1}, {"_ROW_BUDGET": 8, "_MEMO_LIMIT": 4}],
+        [{"_RULE_BUDGET": 1}, {"_MEMO_LIMIT": 4}],
         ids=["every-switch-evicts", "rows-cleared-under-walks"],
     )
     def test_threads_on_machines_that_evict_each_other_agree_with_a_serial_run(
@@ -770,24 +772,27 @@ class TestMachineTables:
         forget_tables()
         tracemalloc.start()
         try:
-            # one machine's bytes per rule (the machine's own and its tables')
-            # and per state held in its rows, with its word and trace
+            # one machine's bytes per rule (the machine's own, its tables' and the
+            # masks its word fills) and per row step, with its word and trace
             gc.collect()
             start = tracemalloc.get_traced_memory()[0]
             machine, word = walked_ndfa(99, length=24, size=150)
+            assert apply(machine, word) == ACCEPT
             tables = fa.execution._tables(machine)
-            tables.moves, tables.leaving
+            tables.leaving
+            for row in tables.rows.values():
+                row.clear()
+            tables.steps = 0
             gc.collect()
             built = tracemalloc.get_traced_memory()[0]
-            assert apply(machine, word) == ACCEPT
+            assert fa.execution._walk(machine, tuple(word))  # fills the rows alone again
             gc.collect()
             walked = tracemalloc.get_traced_memory()[0]
-            states = fa.execution._row_states
             assert show_transitions(machine, word).verdict == ACCEPT
             gc.collect()
             one_word = tracemalloc.get_traced_memory()[0] - walked
             per_rule = (built - start) / len(machine.rules)
-            per_state = (walked - built) / states
+            per_step = (walked - built) / tables.steps
             del machine, word, tables
             forget_tables()
             gc.collect()
@@ -799,6 +804,7 @@ class TestMachineTables:
             del machine, word
             kept = len(fa.execution._cache)
             assert fa.execution._kept_rules <= fa.execution._RULE_BUDGET
+            assert all(t.steps <= fa.execution._MEMO_LIMIT for t in fa.execution._cache.values())
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
@@ -806,16 +812,16 @@ class TestMachineTables:
             tracemalloc.stop()
         # the machines of about 470 rules that fit the rule budget are all kept
         assert kept > 30
-        # the rows of the last machine walked may pass the row budget
-        rows = per_state * (fa.execution._ROW_BUDGET + states)
+        # each kept machine's rows hold at most _MEMO_LIMIT steps
+        rows = per_step * fa.execution._MEMO_LIMIT * kept
         assert held <= 1.1 * (per_rule * fa.execution._RULE_BUDGET + rows) + one_word
 
 
 class TestRowTable:
-    """The walk keeps each state set's steps as a row, as a lazy DFA does:
-    only a step it has not kept computes a closure. _MEMO_LIMIT bounds a
-    machine's entries, and _ROW_BUDGET the states that the other kept
-    machines' rows hold beside the walking machine's."""
+    """The walk keeps each state set's steps as rows, as a lazy DFA does:
+    only a step it has not kept calls _step. _MEMO_LIMIT bounds each
+    machine's entries; the masks _step ORs are kept apart from the rows,
+    each filled once per table."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_a_long_word_misses_at_most_once_per_state_set_and_symbol(
@@ -827,33 +833,114 @@ class TestRowTable:
         sets = forward_sets(two_branch, word)
         assert len(sets) == len(word) + 1 and sets[-1]  # no run dies, the walk goes to S_n
         forget_tables()
-        closures = count_calls(monkeypatch, ["_closure"])
+        misses = count_calls(monkeypatch, ["_step"])
         assert end_states(two_branch, word) == sets[-1]
-        # one closure for S_0, then one per miss
-        assert 0 < closures["_closure"] - 1 <= len(set(sets)) * len(two_branch.sigma)
+        # S_0 comes from the closures, then one _step per miss
+        assert 0 < misses["_step"] <= len(set(sets)) * len(two_branch.sigma)
         assert len(set(sets)) < 20  # the sets repeat, so nearly every step is a row hit
 
     @pytest.mark.parametrize("limit", [1, 2])
     def test_a_table_cleared_mid_walk_keeps_every_verdict(self, monkeypatch, limit):
         monkeypatch.setattr(fa.execution, "_MEMO_LIMIT", limit)
-        monkeypatch.setattr(fa.execution, "_ROW_BUDGET", limit)
-        forget_tables()  # rows kept under the default budgets would pass these
-        closures = count_calls(monkeypatch, ["_closure"])
+        forget_tables()  # rows kept under the default limit would pass this one
+        keep = fa.execution._keep
+        clears = []
+
+        def counting(tables, *step):
+            clears.append(tables.steps >= limit)  # _keep empties full rows first
+            keep(tables, *step)
+
+        monkeypatch.setattr(fa.execution, "_keep", counting)
         rng = random.Random(43 + limit)
         cleared = accepted = 0
         for machine, regex in machine_pool(rng, machines=40):
-            for _ in range(10):
+            for _ in range(20):  # only the pool's ndfas keep rows
                 word = draw_word(rng, machine, regex, max_len=10)
-                closures["_closure"] = 0
+                clears.clear()
                 verdict = apply(machine, word)
                 assert (verdict == ACCEPT) == brute_force_accepts(machine, word)
-                tables = fa.execution._last
-                assert tables.steps == sum(map(len, tables.rows.values())) <= limit
-                kept = fa.execution._cache.values()
-                held = [len(s) for t in kept for row in t.rows.values() for s in row.values()]
-                assert fa.execution._row_states == sum(t.held for t in kept) == sum(held)
-                # every machine's rows but the last walker's fit the budget
-                assert sum(sorted(t.held for t in kept)[:-1]) <= limit
-                cleared += closures["_closure"] > limit + 1  # S_0 and more misses than fit
+                # every kept machine counts its row entries, and holds at most limit
+                for tables in fa.execution._cache.values():
+                    assert tables.steps == sum(map(len, tables.rows.values())) <= limit
+                cleared += any(clears)
                 accepted += verdict == ACCEPT
         assert cleared > 50 and accepted > 50
+
+    def test_each_ndfa_closes_its_states_in_one_pass(self, monkeypatch):
+        forget_tables()
+        passes = count_calls(monkeypatch, ["_closures"])
+        cases = interleaved_cases(seed=53, count=600)
+        for machine, word in cases:
+            apply(machine, word)
+            show_transitions(machine, word)
+        # every machine of the pool fits the rule budget, so none is evicted
+        assert passes["_closures"] == len({id(m) for m, _ in cases if m.kind == "ndfa"}) > 4
+
+    def test_each_successor_mask_is_filled_once_per_table(self, monkeypatch):
+        # rows of two steps are emptied again and again; the masks stay
+        monkeypatch.setattr(fa.execution, "_MEMO_LIMIT", 2)
+        forget_tables()
+        filled = []
+        successor = fa.execution._successor
+
+        def recording(tables, sym, k):
+            filled.append((id(tables), sym, k))
+            return successor(tables, sym, k)
+
+        monkeypatch.setattr(fa.execution, "_successor", recording)
+        misses = count_calls(monkeypatch, ["_step"])
+        for machine, word in interleaved_cases(seed=59, machines=40, count=1200, max_len=20):
+            assert end_states(machine, tuple(word)) == forward_sets(machine, word)[-1]
+        assert len(filled) == len(set(filled)) > 200
+        assert misses["_step"] > 2 * len(filled)  # most misses OR masks filled before
+
+    def test_a_repeated_step_is_a_row_hit(self, monkeypatch):
+        misses = count_calls(monkeypatch, ["_step"])
+        rng = random.Random(61)
+        walked = 0
+        for machine, regex in machine_pool(rng, machines=40):
+            word = tuple(draw_word(rng, machine, regex, max_len=12))
+            forget_tables()
+            misses["_step"] = 0
+            first = fa.execution._walk(machine, word)  # end_states would reuse the word
+            walked += misses["_step"] > 0
+            misses["_step"] = 0
+            assert fa.execution._walk(machine, word) == first
+            # the empty set is never kept, so a walk that died misses its last step again
+            assert misses["_step"] == (machine.kind == "ndfa" and not first)
+        assert walked > 10
+
+
+class TestEndStates:
+    """end_states against tests/helpers.py's forward_sets: S_n, or the empty
+    set once a set dies. The masks decode into the frozenset of names."""
+
+    def test_random_and_thompson_ndfas(self):
+        rng = random.Random(67)
+        forget_tables()
+        cases = accepted = 0
+        for n in range(1500):
+            if n % 2:
+                regex = random_regex(rng, depth=4)
+                machine = thompson_ndfa(regex)
+                words = [sample_word(rng.randint, regex), random_word(rng, machine, max_len=10)]
+            else:
+                machine = random_ndfa(rng, max_states=6, max_rules=14)
+                words = [random_word(rng, machine, max_len=10) for _ in range(2)]
+            for word in words + words[:1]:  # the third call walks the rows the first kept
+                ends = end_states(machine, tuple(word))
+                assert ends == forward_sets(machine, word)[-1]
+                assert type(ends) is frozenset
+                cases += 1
+                accepted += not ends.isdisjoint(machine.finals)
+        assert cases == 4500 and 500 < accepted < 4000
+
+    @pytest.mark.parametrize("n", [10, 40, 160])
+    def test_cox_machines(self, n):
+        machine = cox_ndfa(n)
+        forget_tables()
+        for word, verdict in (("a" * n, ACCEPT), ("a" * (n - 1), REJECT), ("a" * (2 * n + 1), REJECT)):
+            sets = forward_sets(machine, word)
+            assert end_states(machine, tuple(word)) == sets[-1]
+            assert apply(machine, word) == verdict
+        assert not sets[-1] and len(sets) == 2 * n + 2  # a^(2n+1) dies at its last symbol
