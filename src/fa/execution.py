@@ -3,12 +3,14 @@
 apply decides a word by S_n, its last forward ε-closed state set, so it
 keeps no configurations; an ndfa's state sets are int bit masks, bit k
 standing for machine.states[k]. Traces and graphs decide by S_n first;
-only an accepted word runs accepting_run's (state, position) search. A
-computation graph keeps the rules some run takes over the machine's own
-states, and sends a run stuck mid-word along a dashed edge to a fresh
-dead state. Recently used machines keep their tables (_Tables) under one
-rule budget, each with at most _MEMO_LIMIT row steps, and the last word
-asked about is kept once (_asked).
+only an accepted word runs accepting_run's (state, position) search,
+where a pair reads only the rules it can take: those that leave its
+state reading EMP or its next symbol. A computation graph keeps the
+rules some run takes over the machine's own states, and sends a run
+stuck mid-word along a dashed edge to a fresh dead state. Recently used
+machines keep their tables (_Tables) under one rule budget, each with
+at most _MEMO_LIMIT row steps, and the last word asked about is kept
+once (_asked).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .machines import (
 )
 
 # Rules of the machines whose tables are kept (the last machine's are kept
-# whatever its size): about 2.4 MiB of tables, masks and rows on random
+# whatever its size): about 3.1 MiB of tables, masks and rows on random
 # 150-state ndfas asked one word each.
 _RULE_BUDGET = 2**14
 # Row entries (state-set steps, two masks each) kept per machine; full rows
@@ -69,19 +71,31 @@ class _Tables:
 
     ``moves`` (symbol -> state -> state, from dfa_delta) is a dfa's one
     table, which _walk and _dfa_trace follow, so a bad dfa built directly
-    fails every action. ``leaving`` (per state, a (read, dst, position)
-    triple per rule, in machine order) serves accepting_run and an ndfa's
+    fails every action. ``applicable[symbol][state]`` lists the rules a
+    pair (state, i) with w[i] == symbol can take, in machine order, as
+    exact (dst, consumed, position) triples, consumed 1 for a rule reading
+    the symbol and 0 for EMP; ``applicable[None]`` (i == n) lists the EMP
+    rules alone, and an EMP rule's triple is one object in every list. It
+    serves accepting_run, the accepted graph's rule order and an ndfa's
     masks. An ndfa's state sets are masks: ``closures`` maps each state to
     its EMP-closure, ``successors[symbol][k]`` is the closed-successor
     mask of (symbol, states[k]), filled the first time _step needs it, and
     ``rows`` is the lazy DFA, rows[symbol][S] the step from S, filled on a
     miss; ``steps`` counts its entries. So a kept ndfa holds
-    O(|Q|·(|Σ|+1)) masks of |Q| bits, plus _MEMO_LIMIT row steps of two
-    masks each. A build that raises keeps nothing. The record holds its
-    machine, so no other machine can take its id while it is kept.
+    O(|Q|·(|Σ|+1)) masks of |Q| bits, a list slot per consuming rule and
+    |Σ|+1 per EMP rule, plus _MEMO_LIMIT row steps of two masks each.
+    The first build checks that the start and every rule's ends are
+    states, as make_ndfa does, so a machine built directly without them
+    gets its ValidationError from every action. A build that raises keeps
+    nothing. The record holds its machine, so no other machine can take
+    its id while it is kept.
     """
 
     def __init__(self, machine: Machine) -> None:
+        if machine.start not in machine.states:
+            raise ValidationError(
+                "start-not-in-states", f"start state {machine.start!r} is not in the state set"
+            )
         self.machine = machine
         self.rows: dict[str, dict[int, int]] = {sym: {} for sym in machine.sigma}
         self.steps = 0
@@ -89,30 +103,49 @@ class _Tables:
     @cached_property
     def moves(self) -> dict[str, dict[str, str]]:
         moves: dict[str, dict[str, str]] = {}
+        names = set(self.machine.states)
         for (src, read), dst in dfa_delta(self.machine.rules).items():
+            if src not in names or dst not in names:
+                raise _unknown_state((src, read, dst))
             moves.setdefault(read, {})[src] = dst
         return moves
 
     @cached_property
-    def leaving(self) -> dict[str, tuple[tuple[str, str, int], ...]]:
+    def applicable(self) -> dict[str | None, dict[str, tuple[tuple[str, int, int], ...]]]:
         # exact tuples, not the Rules: a loop unpacks a tuple subclass about
         # three times slower, which raised wide_machine's trace_s.p90 by 24 %
-        leaving: dict[str, list[tuple[str, str, int]]] = {}
+        names = set(self.machine.states)
+        emp: dict[str, list[tuple[str, int, int]]] = {}
+        table: dict[str | None, dict[str, list[tuple[str, int, int]]]] = {
+            sym: {} for sym in self.machine.sigma
+        }
         for k, (src, read, dst) in enumerate(self.machine.rules):
-            leaving.setdefault(src, []).append((read, dst, k))
-        return {src: tuple(rules) for src, rules in leaving.items()}
+            if src not in names or dst not in names:
+                raise _unknown_state((src, read, dst))
+            if read == EMP:
+                entry = (dst, 0, k)  # one tuple in every list it joins
+                emp.setdefault(src, []).append(entry)
+                for rules in table.values():
+                    rules.setdefault(src, []).append(entry)
+            elif read in table:
+                table[read].setdefault(src, []).append((dst, 1, k))
+        table[None] = emp
+        return {sym: {q: tuple(rules) for q, rules in at.items()} for sym, at in table.items()}
 
     @cached_property
     def closures(self) -> dict[str, int]:
-        emp: dict[str, list[str]] = {}
-        for src, read, dst in self.machine.rules:
-            if read == EMP:
-                emp.setdefault(src, []).append(dst)
+        emp = {q: [dst for dst, _, _ in rules] for q, rules in self.applicable[None].items()}
         return _closures(self.machine.states, emp)
 
     @cached_property
     def successors(self) -> dict[str, list[int | None]]:
         return {sym: [None] * len(self.machine.states) for sym in self.machine.sigma}
+
+
+def _unknown_state(rule: tuple[str, str, str]) -> ValidationError:
+    return ValidationError(
+        "rule-references-unknown-state", f"transition {rule} mentions an unknown state"
+    )
 
 
 # id(machine) -> its record, least recently used first; _last is the newest.
@@ -186,13 +219,16 @@ def accepting_run(machine: Machine, w: Word) -> _Run | None:
 def _search(machine: Machine, w: Word) -> _Run | None:
     """accepting_run's breadth-first search with a FIFO queue.
 
-    A pair reads only the rules that leave its state, in machine order. A
-    pair is queued at most once, so EMP-only loops terminate and the search
-    keeps O(|Q|·|w|) pairs.
+    A pair (q, i) reads only the rules it can take, applicable[w[i]][q]
+    (applicable[None][q] at i == n), in machine order. A pair is queued at
+    most once, so EMP-only loops terminate and the search keeps
+    O(|Q|·|w|) pairs.
     """
     n = len(w)
     finals = machine.finals
-    leaving = _tables(machine).leaving
+    applicable = _tables(machine).applicable
+    rules_at = [applicable[sym] for sym in w]
+    rules_at.append(applicable[None])
     first = (machine.start, 0)
     parent: dict[tuple[str, int], tuple[str, int] | None] = {first: None}
     queue = deque([first])
@@ -205,14 +241,8 @@ def _search(machine: Machine, w: Word) -> _Run | None:
                 run.append(at)
                 at = parent[at]
             return tuple(reversed(run))
-        sym = w[i] if i < n else None
-        for read, dst, _ in leaving.get(state, ()):
-            if read == EMP:
-                succ = (dst, i)
-            elif read == sym:
-                succ = (dst, i + 1)
-            else:
-                continue
+        for dst, consumed, _ in rules_at[i].get(state, ()):
+            succ = (dst, i + consumed)
             if succ not in parent:
                 parent[succ] = at
                 queue.append(succ)
@@ -273,8 +303,8 @@ def _step(tables: _Tables, current: int, sym: str) -> int:
 def _successor(tables: _Tables, sym: str, k: int) -> int:
     """The OR of the EMP-closures of the states that states[k] reads ``sym`` into."""
     closures, mask = tables.closures, 0
-    for read, dst, _ in tables.leaving.get(tables.machine.states[k], ()):
-        if read == sym:
+    for dst, consumed, _ in tables.applicable[sym].get(tables.machine.states[k], ()):
+        if consumed:
             mask |= closures[dst]
     return mask
 
@@ -530,13 +560,14 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
     accepted word keeps the steps of the run accepting_run finds (the
     trace show_transitions returns) and highlights the state it ends in.
     Its edges are read off the run's positions and put in machine order
-    by the search's per-state rule lists, so an accepted graph slices no
-    suffix, scans no rule list and needs only the search's O(|Q|·|w|)
-    memory. A rejected word runs no search: it keeps the edges of the
-    computation-tree traversal and highlights the end states, where its
-    runs end with the word consumed. The dead state is highlighted when a
-    dead edge exists, and so is the start state on the empty word, where
-    the empty run ends. Accepted iff a highlighted state is final.
+    by the search's (symbol, state) rule lists, so an accepted graph
+    slices no suffix, scans no rule list and needs only the search's
+    O(|Q|·|w|) memory. A rejected word runs no search: it keeps the
+    edges of the computation-tree traversal and highlights the end
+    states, where its runs end with the word consumed. The dead state is
+    highlighted when a dead edge exists, and so is the start state on
+    the empty word, where the empty run ends. Accepted iff a highlighted
+    state is final.
     """
     w = check_word(machine, word)
     ends = end_states(machine, w)
@@ -557,8 +588,13 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
         verdict = ACCEPT
         run = accepting_run(machine, w)
         triples = {(p, EMP if i == j else w[i], q) for (p, i), (q, j) in zip(run, run[1:])}
-        leaving = _tables(machine).leaving  # each triple reads only its state's rules
-        positions = (k for p, a, q in triples for r, d, k in leaving.get(p, ()) if r == a and d == q)
+        applicable = _tables(machine).applicable  # each triple reads only its pair's rules
+        positions = (
+            k
+            for p, a, q in triples
+            for d, consumed, k in applicable[None if a == EMP else a].get(p, ())
+            if d == q and consumed == (a != EMP)
+        )
         applied = [machine.rules[k] for k in sorted(positions)]
         highlighted = {run[-1][0]}
     edges += [CGEdge(*r) for r in applied]

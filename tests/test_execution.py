@@ -56,6 +56,35 @@ def assert_valid_trace(machine, word, trace):
         assert trace.steps[-1].state in machine.finals
 
 
+# machines that name a state missing from ("S", "T"): start, rules, code, message
+UNKNOWN_STATE = {
+    "start": (
+        "X",
+        (Rule("S", "a", "T"),),
+        "start-not-in-states",
+        "start state 'X' is not in the state set",
+    ),
+    "to": (
+        "S",
+        (Rule("S", "a", "T"), Rule("T", "a", "U")),
+        "rule-references-unknown-state",
+        "transition ('T', 'a', 'U') mentions an unknown state",
+    ),
+    "from": (
+        "S",
+        (Rule("U", "a", "T"), Rule("S", "a", "T")),
+        "rule-references-unknown-state",
+        "transition ('U', 'a', 'T') mentions an unknown state",
+    ),
+    "emp-to": (
+        "S",
+        (Rule("S", "a", "T"), Rule("T", EMP, "U")),
+        "rule-references-unknown-state",
+        "transition ('T', 'EMP', 'U') mentions an unknown state",
+    ),
+}
+
+
 class TestApply:
     @pytest.mark.parametrize(
         "word,expected",
@@ -201,6 +230,24 @@ class TestShowTransitions:
                 assert info.value.code == "nondeterministic-rules"
                 assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "kind,case",
+        # a dfa refuses an EMP rule first, as nondeterministic
+        [("ndfa", case) for case in UNKNOWN_STATE]
+        + [("dfa", case) for case in UNKNOWN_STATE if case != "emp-to"],
+    )
+    def test_directly_built_machine_naming_an_unknown_state_is_refused(self, kind, case):
+        # make_ndfa and make_dfa would refuse it; the first table built checks
+        # what they check, so each action refuses it on any word
+        start, rules, code, message = UNKNOWN_STATE[case]
+        m = Machine(kind, ("S", "T"), ("a",), start, ("T",), rules)
+        for action in (apply, show_transitions, build_computation_graph):
+            for w in ("", "a"):
+                with pytest.raises(ValidationError) as info:
+                    action(m, w)
+                assert info.value.code == code
+                assert str(info.value) == message
+
     def test_ndfa_reject_has_no_trace(self, two_branch):
         assert show_transitions(two_branch, "bb") is None
 
@@ -290,6 +337,29 @@ def test_ndfa_trace_and_accepted_graph_follow_the_first_accepting_run(machine_wo
     cg = build_computation_graph(machine, word)
     assert {e.triple for e in cg.edges} == steps
     assert cg.highlighted == {run[-1][0]} | ({machine.start} if not word else set())
+
+
+def test_ndfa_trace_follows_the_first_accepting_run_on_a_seeded_population():
+    # a pair takes its rules in machine order, EMP and consuming rules mixed;
+    # the oracle scans every rule per configuration
+    rng = random.Random(71)
+    cases = [(cox_ndfa(n), "a" * k) for n in (10, 20) for k in (n - 1, n, n + 1, 2 * n, 2 * n + 1)]
+    for n in range(1500):
+        if n % 2:
+            regex = random_regex(rng, depth=4)
+            machine = thompson_ndfa(regex)
+            words = [sample_word(rng.randint, regex), random_word(rng, machine)]
+        else:
+            machine = random_ndfa(rng, max_states=6, max_rules=18)
+            words = [random_word(rng, machine, max_len=8) for _ in range(2)]
+        cases += [(machine, word) for word in words]
+    accepted = 0
+    for machine, word in cases:
+        run = first_accepting_run(machine, word)
+        trace = show_transitions(machine, word)
+        assert (trace and list(trace.steps)) == run
+        accepted += run is not None
+    assert len(cases) >= 3000 and 1000 < accepted < len(cases) - 1000
 
 
 @given(st.one_of(ndfa_with_word(), dfa_with_word()))
@@ -394,7 +464,10 @@ class TestLongWords:
         assert peak < PEAK_LIMIT
 
     def test_accepted_graph_at_a_hundred_thousand_symbols(self, two_branch):
-        cg, peak = traced(build_computation_graph, two_branch, tuple("aba") * 33_333)
+        word = tuple("aba") * 33_333
+        # a rejected word would run the level traversal, which never ends here
+        assert apply(two_branch, word) == ACCEPT
+        cg, peak = traced(build_computation_graph, two_branch, word)
         assert cg.verdict == ACCEPT
         assert cg.edges == build_computation_graph(two_branch, "abaaba").edges
         assert peak < GRAPH_PEAK_LIMIT
@@ -561,8 +634,8 @@ class TestMachineTables:
     @pytest.mark.parametrize(
         "fixture,accepted,rejected,tables",
         [
-            ("two_branch", ["abaaba", "abbab"], "bb", 2),  # state sets, per-state lists
-            ("abstar", ["abbb", "a"], "ba", 2),  # the dfa check shares the move table's pass
+            ("two_branch", ["abaaba", "abbab"], "bb", 1),  # the search's table; closures read it
+            ("abstar", ["abbb", "a"], "ba", 2),  # moves (with the dfa check); the graph's table
         ],
     )
     def test_each_table_reads_the_rule_list_once(self, request, fixture, accepted, rejected, tables):
@@ -586,11 +659,11 @@ class TestMachineTables:
         twin = Machine(*two_branch[:-1], rules)
         assert twin == two_branch and twin is not two_branch
         assert three_actions(twin, "abbab") == three_actions(two_branch, "abbab")
-        assert rules.iterations == 2
+        assert rules.iterations == 1
         # switching back to the twin rebuilds nothing
         assert three_actions(twin, "abbab") == three_actions(two_branch, "abbab")
         assert show_transitions(twin, "abaaba").verdict == ACCEPT
-        assert rules.iterations == 2
+        assert rules.iterations == 1
         # a _replace'd machine shares the rule tuple, but never the tables
         fewer = two_branch._replace(rules=tuple(r for r in two_branch.rules if r != ("D", EMP, "S")))
         moved = two_branch._replace(start="B")
@@ -649,7 +722,7 @@ class TestMachineTables:
             pairs.update((k, s, a) for s, a in zip(sets, word))
             dead += not sets[-1]
         assert accepted > 20 and len(asked) == 3
-        assert [m.rules.iterations for m in machines] == [2, 1, 1]  # closures, leaving; moves
+        assert [m.rules.iterations for m in machines] == [1, 1, 1]  # applicable; moves
         assert 0 < later <= len(pairs) + dead
         assert len(pairs) < 100  # the words repeat their steps
 
@@ -779,7 +852,7 @@ class TestMachineTables:
             machine, word = walked_ndfa(99, length=24, size=150)
             assert apply(machine, word) == ACCEPT
             tables = fa.execution._tables(machine)
-            tables.leaving
+            tables.applicable
             for row in tables.rows.values():
                 row.clear()
             tables.steps = 0
