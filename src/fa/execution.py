@@ -1,8 +1,8 @@
 """Running machines on words: verdicts, traces and computation graphs.
 
 apply decides a word by S_n, its last forward ε-closed state set, so it
-keeps no configurations; an ndfa's state sets are int bit masks, bit k
-standing for machine.states[k]. Traces and graphs decide by S_n first;
+keeps no configurations; state sets are int bit masks, bit k standing
+for machine.states[k]. Traces and graphs decide by S_n first;
 only an accepted word runs accepting_run's (state, position) search,
 where a pair reads only the rules it can take: those that leave its
 state reading EMP or its next symbol. A computation graph keeps the
@@ -35,8 +35,9 @@ from .machines import (
 )
 
 # Rules of the machines whose tables are kept (the last machine's are kept
-# whatever its size): about 3.1 MiB of tables, masks and rows on random
-# 150-state ndfas asked one word each.
+# whatever its size): about 4.2 MiB of tables, masks and rows on random
+# 150-state, 3-symbol ndfas asked one word each. One 300-state ndfa over 26
+# symbols (11,802 rules) that reads every symbol keeps 3.5 MiB on its own.
 _RULE_BUDGET = 2**14
 # Row entries (state-set steps, two masks each) kept per machine; full rows
 # are emptied. One long walk on a 300-state ndfa meets about 300 distinct
@@ -77,13 +78,14 @@ class _Tables:
     the symbol and 0 for EMP; ``applicable[None]`` (i == n) lists the EMP
     rules alone, and an EMP rule's triple is one object in every list. It
     serves accepting_run, the accepted graph's rule order and an ndfa's
-    masks. An ndfa's state sets are masks: ``closures`` maps each state to
-    its EMP-closure, ``successors[symbol][k]`` is the closed-successor
-    mask of (symbol, states[k]), filled the first time _step needs it, and
-    ``rows`` is the lazy DFA, rows[symbol][S] the step from S, filled on a
-    miss; ``steps`` counts its entries. So a kept ndfa holds
-    O(|Q|·(|Σ|+1)) masks of |Q| bits, a list slot per consuming rule and
-    |Σ|+1 per EMP rule, plus _MEMO_LIMIT row steps of two masks each.
+    masks. State sets are masks, bit k for states[k]: ``bits`` maps a dfa's
+    states to theirs, ``final_mask`` holds the finals' bits, ``closures``
+    maps each ndfa state to its EMP-closure, ``row_tables[symbol]`` is the
+    symbol's row table (see _row_table), built the first time _step reads
+    the symbol, and ``rows`` is the lazy DFA, rows[symbol][S] the step
+    from S, filled on a miss; ``steps`` counts its entries. So a kept ndfa
+    holds O(|Q|·|Σ|·4) masks of |Q| bits, a list slot per consuming rule
+    and |Σ|+1 per EMP rule, plus _MEMO_LIMIT row steps of two masks each.
     The first build checks that the start and every rule's ends are
     states, as make_ndfa does, so a machine built directly without them
     gets its ValidationError from every action. A build that raises keeps
@@ -99,6 +101,16 @@ class _Tables:
         self.machine = machine
         self.rows: dict[str, dict[int, int]] = {sym: {} for sym in machine.sigma}
         self.steps = 0
+        self.row_tables: dict[str, list[int]] = {}
+
+    @cached_property
+    def bits(self) -> dict[str, int]:
+        return {q: 1 << k for k, q in enumerate(self.machine.states)}
+
+    @cached_property
+    def final_mask(self) -> int:
+        finals = set(self.machine.finals)
+        return sum(1 << k for k, q in enumerate(self.machine.states) if q in finals)
 
     @cached_property
     def moves(self) -> dict[str, dict[str, str]]:
@@ -137,10 +149,6 @@ class _Tables:
         emp = {q: [dst for dst, _, _ in rules] for q, rules in self.applicable[None].items()}
         return _closures(self.machine.states, emp)
 
-    @cached_property
-    def successors(self) -> dict[str, list[int | None]]:
-        return {sym: [None] * len(self.machine.states) for sym in self.machine.sigma}
-
 
 def _unknown_state(rule: tuple[str, str, str]) -> ValidationError:
     return ValidationError(
@@ -156,11 +164,11 @@ _last: _Tables | None = None
 _kept_rules = 0
 _lock = threading.Lock()
 
-# (machine, w, S_n, run) for the last checked word: end_states fills it, and
-# accepting_run or a dfa's trace adds the accepting run (None until one is
+# (machine, w, S_n's mask, run) for the last checked word: _end_mask fills it,
+# and accepting_run or a dfa's trace adds the accepting run (None until one is
 # found). Callers read it once and replace it whole, so threads asking
 # different words never pair one word's run with another word's S_n.
-_asked: tuple[Machine, Word, frozenset[str], _Run | None] | None = None
+_asked: tuple[Machine, Word, int, _Run | None] | None = None
 
 
 def _tables(machine: Machine) -> _Tables:
@@ -249,14 +257,14 @@ def _search(machine: Machine, w: Word) -> _Run | None:
     return None
 
 
-def _walk(machine: Machine, w: Word) -> frozenset[str]:
-    """S_n, the last forward ε-closed state set of the checked word ``w``.
+def _walk(machine: Machine, w: Word) -> int:
+    """S_n's mask: the last forward ε-closed state set of the checked word ``w``.
 
-    A dfa follows its move table one state at a time; a missing move (a
-    dfa built directly, never completed) gets its run stuck. An ndfa's
-    S_{i+1} is the EMP-closure of the states S_i reaches by reading w[i],
-    as a mask: a step is a row lookup, and only a miss calls _step. The
-    walk stops at the first empty set, and only S_n is decoded into names.
+    A dfa follows its move table one state at a time, and S_n is the bit
+    of the state it ends in; a missing move (a dfa built directly, never
+    completed) gets its run stuck. An ndfa's S_{i+1} is the EMP-closure of
+    the states S_i reaches by reading w[i]: a step is a row lookup, and
+    only a miss calls _step. The walk stops at the first empty set.
     """
     tables = _tables(machine)
     if machine.kind == DFA:
@@ -265,8 +273,8 @@ def _walk(machine: Machine, w: Word) -> frozenset[str]:
             for sym in w:
                 state = moves[sym][state]
         except KeyError:
-            return frozenset()
-        return frozenset((state,))
+            return 0
+        return tables.bits[state]
     rows = tables.rows
     current = tables.closures[machine.start]  # S_0
     for sym in w:
@@ -274,39 +282,62 @@ def _walk(machine: Machine, w: Word) -> frozenset[str]:
         if nxt is None:
             nxt = _step(tables, current, sym)
             if not nxt:
-                return frozenset()
+                return 0
             _keep(tables, current, sym, nxt)
         current = nxt
-    states, names = machine.states, []
-    while current:
-        k = current.bit_length() - 1
-        current ^= 1 << k
-        names.append(states[k])
-    return frozenset(names)
+    return current
 
 
 def _step(tables: _Tables, current: int, sym: str) -> int:
     """The mask S_i --sym--> S_{i+1}: the OR of the closed-successor masks
-    of the states in ``current``, each filled by _successor once."""
-    masks = tables.successors[sym]
-    nxt = 0
-    while current:
-        k = current.bit_length() - 1
-        current ^= 1 << k
-        mask = masks[k]
-        if mask is None:
-            mask = masks[k] = _successor(tables, sym, k)
-        nxt |= mask
+    of the states in ``current``, read off the row table of ``sym`` as one
+    entry per block of 4 states, two blocks per byte of ``current``, up to
+    its highest set bit."""
+    table = tables.row_tables.get(sym)
+    if table is None:
+        table = _row_table(tables, sym)
+    nxt = at = 0
+    for byte in current.to_bytes((current.bit_length() + 7) >> 3, "little"):
+        nxt |= table[at + (byte & 15)] | table[at + 16 + (byte >> 4)]
+        at += 32
     return nxt
 
 
-def _successor(tables: _Tables, sym: str, k: int) -> int:
-    """The OR of the EMP-closures of the states that states[k] reads ``sym`` into."""
-    closures, mask = tables.closures, 0
-    for dst, consumed, _ in tables.applicable[sym].get(tables.machine.states[k], ()):
-        if consumed:
-            mask |= closures[dst]
-    return mask
+def _row_table(tables: _Tables, sym: str) -> list[int]:
+    """Build and keep the row table of ``sym``, as in the "Four Russians"
+    method (Arlazarov et al. 1970).
+
+    The states fall into blocks of 4, states[4j] to states[4j + 3], and
+    entry 16j + v is the OR of the closed-successor masks of the states of
+    block j whose bits v sets. A block past the last state is all 0, so
+    the table ends on a whole byte's blocks. Blocks of 3 would keep 15 %
+    fewer bytes for a third more lookups per step. Threads that build one
+    table at once build equal lists, and the last one stored stays, so the
+    walk takes no lock.
+    """
+    masks = _successors(tables, sym)
+    masks += [0] * (-len(masks) % 8)
+    table: list[int] = []
+    four = iter(masks)
+    for a, b, c, d in zip(four, four, four, four):
+        ab, cd = a | b, c | d
+        table += (0, a, b, ab, c, a | c, b | c, ab | c)
+        table += (d, a | d, b | d, ab | d, cd, a | cd, b | cd, ab | cd)
+    tables.row_tables[sym] = table
+    return table
+
+
+def _successors(tables: _Tables, sym: str) -> list[int]:
+    """Each state's closed-successor mask on ``sym``, in states order: the OR
+    of the EMP-closures of the states it reads ``sym`` into."""
+    closures, rules, masks = tables.closures, tables.applicable[sym], []
+    for q in tables.machine.states:
+        mask = 0
+        for dst, consumed, _ in rules.get(q, ()):
+            if consumed:
+                mask |= closures[dst]
+        masks.append(mask)
+    return masks
 
 
 def _keep(tables: _Tables, current: int, sym: str, nxt: int) -> None:
@@ -374,11 +405,13 @@ def _closures(states: tuple[str, ...], emp: dict[str, list[str]]) -> dict[str, i
 
 def end_states(machine: Machine, w: Word) -> frozenset[str]:
     """S_n for the checked word ``w``: the states some computation ends in
-    with all of ``w`` consumed, empty when every run gets stuck first.
+    with all of ``w`` consumed, empty when every run gets stuck first."""
+    return _names(machine.states, _end_mask(machine, w))
 
-    It is kept as the last word, so asking again for an equal word on the
-    same machine walks no state set.
-    """
+
+def _end_mask(machine: Machine, w: Word) -> int:
+    """S_n's mask for the checked word ``w``, kept as the last word, so
+    asking again for an equal word on the same machine walks no state set."""
     global _asked
     asked = _asked
     if asked is not None and asked[0] is machine and asked[1] == w:
@@ -388,15 +421,27 @@ def end_states(machine: Machine, w: Word) -> frozenset[str]:
     return last
 
 
+def _names(states: tuple[str, ...], mask: int) -> frozenset[str]:
+    names = []
+    while mask:
+        k = mask.bit_length() - 1
+        mask ^= 1 << k
+        names.append(states[k])
+    return frozenset(names)
+
+
 def apply(machine: Machine, word: Sequence[str]) -> str:
     """Decide the word: ACCEPT iff some computation consumes all of it and
     ends in a final state.
 
-    The decision walks the forward state sets, so it takes O(|w|·|rules|)
-    time and O(|Q|) memory and builds no configuration.
+    The decision walks the forward state sets, where a step is a row hit
+    or at most ⌈|Q|/4⌉ ORs of row-table entries. So it takes O(|w|·|Q|)
+    time and O(|Q|) memory on top of the row table of each symbol it
+    reads (4·|Q| masks, built once per kept machine), and builds no
+    configuration.
     """
-    ends = end_states(machine, check_word(machine, word))
-    return REJECT if ends.isdisjoint(machine.finals) else ACCEPT
+    ends = _end_mask(machine, check_word(machine, word))
+    return ACCEPT if ends & _tables(machine).final_mask else REJECT
 
 
 def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
@@ -406,7 +451,7 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
     trace exists only on acceptance: the first accepting computation found
     by breadth-first search (ties broken by rule order) is returned, and
     None stands for "rejected, no trace". The verdict comes first, from
-    end_states, so a rejected word costs O(|w|·|rules|) time and O(|Q|)
+    S_n as apply finds it, so a rejected word costs apply's time and
     memory and runs no search. An accepted word's search keeps
     O(|Q|·|w|) (state, position) pairs, and the trace is its run, so it
     takes O(|w|) memory; only each access of ``steps`` copies suffixes.
@@ -414,15 +459,15 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
     w = check_word(machine, word)
     if machine.kind == DFA:
         return _dfa_trace(machine, w)
-    if end_states(machine, w).isdisjoint(machine.finals):
+    if not _end_mask(machine, w) & _tables(machine).final_mask:
         return None
     return Trace(w, accepting_run(machine, w), ACCEPT)
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
     global _asked
-    moves = _tables(machine).moves
-    state = machine.start
+    tables = _tables(machine)
+    moves, state = tables.moves, machine.start
     steps = [(state, 0)]
     for i, sym in enumerate(w):
         try:
@@ -436,7 +481,7 @@ def _dfa_trace(machine: Machine, w: Word) -> Trace:
     accepted = state in machine.finals
     # a dfa has no EMP rule, so S_n is the one state its run ends in, and
     # its one run is the run accepting_run would find
-    _asked = (machine, w, frozenset((state,)), run if accepted else None)
+    _asked = (machine, w, tables.bits[state], run if accepted else None)
     return Trace(w, run, ACCEPT if accepted else REJECT)
 
 
@@ -556,7 +601,7 @@ def computation_tree_to_cg_edges(
 def build_computation_graph(machine: Machine, word: Sequence[str]) -> ComputationGraph:
     """Computation graph of ``machine`` on ``word``, edges in ComputationGraph's order.
 
-    The verdict comes first, from end_states, as apply decides it. An
+    The verdict comes first, from S_n as apply decides it. An
     accepted word keeps the steps of the run accepting_run finds (the
     trace show_transitions returns) and highlights the state it ends in.
     Its edges are read off the run's positions and put in machine order
@@ -570,15 +615,15 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
     state is final.
     """
     w = check_word(machine, word)
-    ends = end_states(machine, w)
+    ends = _end_mask(machine, w)
     edges: list[CGEdge] = []
     dead: str | None = None
-    if ends.isdisjoint(machine.finals):
+    if not ends & _tables(machine).final_mask:
         verdict = REJECT
         tree = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
         triples = {e.triple for e in tree}
         applied = [r for r in machine.rules if r in triples]
-        highlighted = set(ends)
+        highlighted = set(_names(machine.states, ends))
         name = fresh_dead_state(machine.states)
         edges = [CGEdge(*t, to_dead=True) for t in sorted(triples) if t[2] == name]
         if edges:

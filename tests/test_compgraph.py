@@ -198,7 +198,7 @@ class TestBuildComputationGraph:
     def test_one_word_check_and_one_search_per_build(self, two_branch, monkeypatch):
         # one pass over the state sets decides; only an accepted word searches for
         # its run, and only a rejected word is traversed
-        names = ["check_word", "accepting_run", "computation_tree_to_cg_edges", "end_states"]
+        names = ["check_word", "accepting_run", "computation_tree_to_cg_edges", "_end_mask"]
         calls = count_calls(monkeypatch, [*names, "_walk"])
         for word, searches, traversals in ((FIG_ACCEPT_WORD, 1, 0), (FIG_REJECT_WORD, 0, 1)):
             calls.update(dict.fromkeys(calls, 0))
@@ -207,7 +207,7 @@ class TestBuildComputationGraph:
                 "check_word": 1,
                 "accepting_run": searches,
                 "computation_tree_to_cg_edges": traversals,
-                "end_states": 1,
+                "_end_mask": 1,
                 "_walk": 1,
             }
 

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -27,6 +28,7 @@ from fa import (
 from fa.execution import accepting_run, end_states
 from helpers import (
     brute_force_accepts,
+    computation_census,
     count_calls,
     cox_ndfa,
     dfa_with_word,
@@ -893,8 +895,8 @@ class TestMachineTables:
 class TestRowTable:
     """The walk keeps each state set's steps as rows, as a lazy DFA does:
     only a step it has not kept calls _step. _MEMO_LIMIT bounds each
-    machine's entries; the masks _step ORs are kept apart from the rows,
-    each filled once per table."""
+    machine's entries; the row tables _step reads are kept apart from the
+    rows, each built once per symbol and table."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_a_long_word_misses_at_most_once_per_state_set_and_symbol(
@@ -949,23 +951,23 @@ class TestRowTable:
         # every machine of the pool fits the rule budget, so none is evicted
         assert passes["_closures"] == len({id(m) for m, _ in cases if m.kind == "ndfa"}) > 4
 
-    def test_each_successor_mask_is_filled_once_per_table(self, monkeypatch):
-        # rows of two steps are emptied again and again; the masks stay
+    def test_each_symbols_row_table_is_built_once_per_kept_table(self, monkeypatch):
+        # rows of two steps are emptied again and again; the row tables stay
         monkeypatch.setattr(fa.execution, "_MEMO_LIMIT", 2)
         forget_tables()
-        filled = []
-        successor = fa.execution._successor
+        built = []
+        row_table = fa.execution._row_table
 
-        def recording(tables, sym, k):
-            filled.append((id(tables), sym, k))
-            return successor(tables, sym, k)
+        def recording(tables, sym):
+            built.append((id(tables), sym))
+            return row_table(tables, sym)
 
-        monkeypatch.setattr(fa.execution, "_successor", recording)
+        monkeypatch.setattr(fa.execution, "_row_table", recording)
         misses = count_calls(monkeypatch, ["_step"])
         for machine, word in interleaved_cases(seed=59, machines=40, count=1200, max_len=20):
             assert end_states(machine, tuple(word)) == forward_sets(machine, word)[-1]
-        assert len(filled) == len(set(filled)) > 200
-        assert misses["_step"] > 2 * len(filled)  # most misses OR masks filled before
+        assert len(built) == len(set(built)) > 30
+        assert misses["_step"] > 5 * len(built)  # most misses read a table built before
 
     def test_a_repeated_step_is_a_row_hit(self, monkeypatch):
         misses = count_calls(monkeypatch, ["_step"])
@@ -982,6 +984,185 @@ class TestRowTable:
             # the empty set is never kept, so a walk that died misses its last step again
             assert misses["_step"] == (machine.kind == "ndfa" and not first)
         assert walked > 10
+
+
+def sized_ndfa(rng, size):
+    """A random ``size``-state ndfa over 1-3 symbols, 1-4 rules per state, about
+    one in six of them EMP rules, and about a tenth of its states final."""
+    states = [f"Q{i}" for i in range(size)]
+    labels = list("abc"[: rng.randint(1, 3)])
+    rules = [
+        (q, EMP if rng.random() < 0.15 else rng.choice(labels), rng.choice(states))
+        for q in states
+        for _ in range(rng.randint(1, 4))
+    ]
+    finals = rng.sample(states, max(1, size // 10))
+    return make_ndfa(states, labels, states[0], finals, rules)
+
+
+def successor_masks(machine):
+    """symbol -> each state's closed-successor mask, by plain scans of the rule
+    list grouped by source state: bit k of the mask of q stands for states[k]
+    being in the EMP-closure of the states q reads the symbol into."""
+    leaving = {}
+    for src, read, dst in machine.rules:
+        leaving.setdefault(src, []).append((read, dst))
+    bit = {q: 1 << k for k, q in enumerate(machine.states)}
+    masks = {}
+    for sym in machine.sigma:
+        masks[sym] = []
+        for q in machine.states:
+            todo = [dst for read, dst in leaving.get(q, ()) if read == sym]
+            reached = set(todo)
+            while todo:
+                for read, dst in leaving.get(todo.pop(), ()):
+                    if read == EMP and dst not in reached:
+                        reached.add(dst)
+                        todo.append(dst)
+            masks[sym].append(sum(bit[r] for r in reached))
+    return masks
+
+
+def walked_word(rng, machine, length):
+    """The symbols of a random walk of up to ``length`` rules from the start, EMP
+    rules included, so that at least one run survives the whole word."""
+    leaving = {}
+    for src, read, dst in machine.rules:
+        leaving.setdefault(src, []).append((read, dst))
+    state, word = machine.start, []
+    for _ in range(length):
+        if state not in leaving:
+            break
+        read, state = rng.choice(leaving[state])
+        if read != EMP:
+            word.append(read)
+    return tuple(word)
+
+
+def row_table_population(seed):
+    """(machine, regex) pairs: random ndfas of 1-9, 63-65 and 150 states, so
+    that the state counts fall on both sides of the 4-state block and byte
+    boundaries, Thompson machines of random regexes (2 to about 40 states)
+    and Cox machines of 8, 64 and 152 states. The regex is None for a random
+    ndfa and ("cox", n) for the Cox machine of n."""
+    rng = random.Random(seed)
+    sizes = [*range(1, 10), 63, 64, 65, 150]
+    pool = [(sized_ndfa(rng, size), None) for size in sizes for _ in range(2)]
+    for _ in range(16):
+        regex = random_regex(rng, depth=rng.randint(2, 6))
+        pool.append((thompson_ndfa(regex), regex))
+    for n in (1, 8, 19):
+        regex = ("cox", n)
+        pool.append((cox_ndfa(n), regex))
+    return pool
+
+
+class TestBlockRowTables:
+    """A step reads one entry of the symbol's row table per block of 4 states,
+    each entry the OR of its block's closed-successor masks, checked against
+    tests/helpers.py on state counts at and around the block boundaries."""
+
+    def test_steps_and_verdicts_match_the_oracles_when_most_steps_miss(self, monkeypatch):
+        monkeypatch.setattr(fa.execution, "_MEMO_LIMIT", 2)  # rows emptied again and again
+        forget_tables()
+        rng = random.Random(73)
+        cases = accepted = 0
+        for machine, regex in row_table_population(seed=79):
+            words = [random_word(rng, machine, max_len=8) for _ in range(3)]
+            words += [walked_word(rng, machine, length=16) for _ in range(3)]
+            if regex and regex[0] == "cox":
+                n = regex[1]
+                words += [tuple("a" * n), tuple("a" * (n - 1))]
+            elif regex:
+                words.append(tuple(sample_word(rng.randint, regex)))
+            for k, word in enumerate(words):
+                census, _, _ = computation_census(machine, word)
+                expected = ACCEPT if census & set(machine.finals) else REJECT
+                if k % 2:  # the walk comes from apply or from end_states
+                    assert apply(machine, word) == expected
+                    ends = end_states(machine, word)
+                else:
+                    ends = end_states(machine, word)
+                    assert apply(machine, word) == expected
+                assert ends == census == forward_sets(machine, word)[-1]
+                cases += 1
+                accepted += expected == ACCEPT
+        assert cases > 150 and 10 < accepted < cases - 10
+
+    def test_a_step_is_the_or_of_its_states_successor_masks(self):
+        rng = random.Random(83)
+        forget_tables()
+        for machine, _ in row_table_population(seed=89):
+            count = len(machine.states)
+            masks = successor_masks(machine)
+            top = (count - 1) // 4 * 4  # the first state of the last, maybe part-full, block
+            sets = [0, (1 << count) - 1, ((1 << count) - 1) >> top << top]
+            sets += [1 << k for k in range(count)]
+            sets += [rng.getrandbits(count) for _ in range(8)]
+            tables = fa.execution._tables(machine)
+            for sym in machine.sigma:
+                for current in sets:
+                    expected = 0
+                    for k in range(count):
+                        if current >> k & 1:
+                            expected |= masks[sym][k]
+                    assert fa.execution._step(tables, current, sym) == expected
+
+    def test_threads_building_one_fresh_machines_row_tables_agree_with_a_serial_run(
+        self, monkeypatch
+    ):
+        # every thread misses its first step on a fresh machine at about the same
+        # time, so several of them build the same row table; each build is whole
+        # before it is stored, and the walk takes no lock for it
+        rng = random.Random(97)
+        rounds = []
+        for _ in range(6):
+            machine = sized_ndfa(rng, 65)
+            words = sorted({random_word(rng, machine, max_len=12) for _ in range(40)})
+            rounds.append((machine, words))
+        expected = [[fresh(apply, m, w) for w in words] for m, words in rounds]
+        serial = []
+        for machine, _ in rounds:
+            forget_tables()
+            tables = fa.execution._tables(machine)
+            serial.append({sym: fa.execution._row_table(tables, sym) for sym in machine.sigma})
+        row_table = fa.execution._row_table
+        built = []
+
+        def slow(tables, sym):
+            built.append((id(tables.machine), sym))  # every machine stays alive
+            time.sleep(0.01)  # other threads reach the same miss meanwhile
+            return row_table(tables, sym)
+
+        monkeypatch.setattr(fa.execution, "_row_table", slow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r, (machine, words) in enumerate(rounds):
+                forget_tables()
+                start = threading.Barrier(4)
+                results = {}
+
+                def worker(k):
+                    order = list(range(len(words)))
+                    random.Random(k).shuffle(order)
+                    start.wait()
+                    results[k] = {i: apply(machine, words[i]) for i in order}
+
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(results) == [0, 1, 2, 3]
+                for got in results.values():
+                    assert [got[i] for i in range(len(words))] == expected[r]
+                kept = fa.execution._tables(machine).row_tables
+                assert kept == {sym: serial[r][sym] for sym in kept}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) > len(set(built))  # some table was built by two threads at once
 
 
 class TestEndStates:
