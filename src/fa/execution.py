@@ -2,22 +2,23 @@
 
 apply decides a word by S_n, its last forward ε-closed state set, so it
 keeps no configurations; state sets are int bit masks, bit k standing
-for machine.states[k]. Traces and graphs decide by S_n first;
-only an accepted word runs accepting_run's (state, position) search,
-where a pair reads only the rules it can take: those that leave its
-state reading EMP or its next symbol. A computation graph keeps the
-rules some run takes over the machine's own states, and sends a run
-stuck mid-word along a dashed edge to a fresh dead state. Recently used
-machines keep their tables (_Tables) under one rule budget, each with
-at most _MEMO_LIMIT row steps, and the last word asked about is kept
-once (_asked).
+for machine.states[k]. Traces and graphs decide by S_n first; only an
+accepted word runs accepting_run's (state, position) search, where a
+pair reads only the rules it can take: those that leave its state
+reading EMP or its next symbol. A computation graph keeps the rules some
+run takes over the machine's own states, and sends a run stuck mid-word
+along a dashed edge to a fresh dead state; a rejected word's edges come
+from one computation-tree traversal, _tree_triples. Recently used
+machines keep their tables (_Tables) under one rule budget, each with at
+most _MEMO_LIMIT row steps, and the last word asked about is kept once
+(_asked).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -124,8 +125,7 @@ class _Tables:
 
     @cached_property
     def applicable(self) -> dict[str | None, dict[str, tuple[tuple[str, int, int], ...]]]:
-        # exact tuples, not the Rules: a loop unpacks a tuple subclass about
-        # three times slower, which raised wide_machine's trace_s.p90 by 24 %
+        # exact tuples, not the Rules: a loop unpacks a tuple subclass 3x slower
         names = set(self.machine.states)
         emp: dict[str, list[tuple[str, int, int]]] = {}
         table: dict[str | None, dict[str, list[tuple[str, int, int]]]] = {
@@ -498,10 +498,6 @@ class CGEdge(NamedTuple):
     dst: str
     to_dead: bool = False
 
-    @property
-    def triple(self) -> tuple[str, str, str]:
-        return (self.src, self.read, self.dst)
-
 
 class ComputationGraph(NamedTuple):
     """The computation graph of ``machine`` on the checked ``word``.
@@ -522,97 +518,59 @@ class ComputationGraph(NamedTuple):
     verdict: str
 
 
-def edges_for_configuration(machine: Machine, config: Config, dead: str) -> list[CGEdge]:
-    """The rules that apply at ``config``, in machine order, as edges.
+def _tree_triples(machine: Machine, w: Word, dead: str) -> set[tuple[str, str, str]]:
+    """A rejected graph's edges (src, read, dst), by breadth-first
+    traversal of the computation tree from Config(start, w).
 
-    A rule applies when it leaves ``config.state`` and reads EMP or the
-    next symbol. When a nonempty suffix has no consuming rule, the dead
-    edge comes first: such runs never consume the next symbol here.
+    Each configuration scans every rule for those leaving its state reading
+    EMP or its next symbol; a nonempty suffix with none consuming gives the
+    dead edge into ``dead`` first. A level keeps each edge once, and a
+    configuration adds all its successors along them unless each was in an
+    earlier level or added before it.
     """
-    state, u = config
-    sym = u[0] if u else EMP
-    reads = (EMP, sym)
-    edges = [CGEdge(*r) for r in machine.rules if r.src == state and r.read in reads]
-    if u and all(e.read == EMP for e in edges):
-        edges.insert(0, CGEdge(state, sym, dead, to_dead=True))
-    return edges
-
-
-def next_configurations(
-    edges: Sequence[CGEdge], frontier: Sequence[Config], visited: Iterable[Config]
-) -> list[Config]:
-    """Configurations to explore next, given one level's edges and frontier.
-
-    Successors are read off the edges (dead edges excluded: the dead state
-    consumes the rest of the input by construction and needs no visit). A
-    frontier configuration contributes nothing when every successor has
-    been seen already; contributed successors count as seen for the rest of
-    the same call.
-    """
-    seen = set(visited)
-    out = []
-    for config in frontier:
-        state = config.state
-        u = config.unconsumed
-        succs = []
-        for e in edges:
-            if e.to_dead or e.src != state:
-                continue
-            if e.read == EMP:
-                succs.append(Config(e.dst, u))
-            elif u and e.read == u[0]:
-                succs.append(Config(e.dst, u[1:]))
-        if succs and not all(s in seen for s in succs):
-            out.extend(succs)
-            seen.update(succs)
-    return out
-
-
-def computation_tree_to_cg_edges(
-    machine: Machine, frontier: Sequence[Config], visited: Sequence[Config]
-) -> list[CGEdge]:
-    """Collect edges by breadth-first traversal of the computation tree.
-
-    Level by level: every frontier configuration contributes its edges
-    (deduplicated within the level), the next frontier is derived from
-    those edges, and the old frontier joins the visited accumulator. Stops
-    when no new configurations remain. The result may still contain
-    cross-level duplicates; build_computation_graph keeps each edge once.
-    """
-    dead = fresh_dead_state(machine.states)
-    frontier = list(frontier)
-    visited = list(visited)
-    collected: list[CGEdge] = []
-    while frontier:
-        level = list(
-            dict.fromkeys(
-                edge for config in frontier for edge in edges_for_configuration(machine, config, dead)
-            )
-        )
-        collected.extend(level)
-        nxt = next_configurations(level, frontier, visited)
+    frontier = [Config(machine.start, w)]
+    visited: list[Config] = []
+    triples: set[tuple[str, str, str]] = set()
+    while True:
+        level: list[CGEdge] = []
+        for state, u in frontier:
+            reads = (EMP, u[0] if u else EMP)
+            edges = [CGEdge(*r) for r in machine.rules if r.src == state and r.read in reads]
+            if u and all(e.read == EMP for e in edges):
+                level.append(CGEdge(state, u[0], dead, to_dead=True))
+            level += edges
+        level = list(dict.fromkeys(level))
+        triples.update(e[:3] for e in level)
+        seen, nxt = set(visited), []
+        for state, u in frontier:
+            succs = []
+            for e in level:
+                if e.to_dead or e.src != state:
+                    continue
+                if e.read == EMP:
+                    succs.append(Config(e.dst, u))
+                elif u and e.read == u[0]:
+                    succs.append(Config(e.dst, u[1:]))
+            if succs and not all(s in seen for s in succs):
+                nxt.extend(succs)
+                seen.update(succs)
         if not nxt:
-            break
-        visited = frontier + visited
-        frontier = nxt
-    return collected
+            return triples
+        visited, frontier = frontier + visited, nxt
 
 
 def build_computation_graph(machine: Machine, word: Sequence[str]) -> ComputationGraph:
     """Computation graph of ``machine`` on ``word``, edges in ComputationGraph's order.
 
-    The verdict comes first, from S_n as apply decides it. An
-    accepted word keeps the steps of the run accepting_run finds (the
-    trace show_transitions returns) and highlights the state it ends in.
-    Its edges are read off the run's positions and put in machine order
-    by the search's (symbol, state) rule lists, so an accepted graph
-    slices no suffix, scans no rule list and needs only the search's
-    O(|Q|·|w|) memory. A rejected word runs no search: it keeps the
-    edges of the computation-tree traversal and highlights the end
-    states, where its runs end with the word consumed. The dead state is
-    highlighted when a dead edge exists, and so is the start state on
-    the empty word, where the empty run ends. Accepted iff a highlighted
-    state is final.
+    The verdict comes first, from S_n as apply decides it. An accepted
+    word's edges are the rules of the run accepting_run finds (the trace
+    show_transitions returns), put in machine order by the search's
+    (symbol, state) rule lists, so it slices no suffix and needs only the
+    search's O(|Q|·|w|) memory; it highlights where the run ends. A
+    rejected word runs no search: its edges are _tree_triples', and it
+    highlights S_n, plus the dead state when a dead edge exists. The start
+    state is highlighted on the empty word, where the empty run ends.
+    Accepted iff a highlighted state is final.
     """
     w = check_word(machine, word)
     ends = _end_mask(machine, w)
@@ -620,11 +578,10 @@ def build_computation_graph(machine: Machine, word: Sequence[str]) -> Computatio
     dead: str | None = None
     if not ends & _tables(machine).final_mask:
         verdict = REJECT
-        tree = computation_tree_to_cg_edges(machine, [Config(machine.start, w)], [])
-        triples = {e.triple for e in tree}
+        name = fresh_dead_state(machine.states)
+        triples = _tree_triples(machine, w, name)
         applied = [r for r in machine.rules if r in triples]
         highlighted = set(_names(machine.states, ends))
-        name = fresh_dead_state(machine.states)
         edges = [CGEdge(*t, to_dead=True) for t in sorted(triples) if t[2] == name]
         if edges:
             dead = name

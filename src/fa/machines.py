@@ -68,13 +68,9 @@ class Machine(NamedTuple):
     dropped), so everything downstream iterates deterministically.
     Instances are immutable and safe to share across threads. The
     components are tuples, and must stay unchanged once a call has used
-    the machine: fa.execution keeps the tables it builds from the rules of
-    recently used machines, found by identity, and reuses them whenever
-    that same object comes back. An ndfa's tables hold its state sets as
-    bit masks, bit k standing for ``states[k]``, under one rule budget and
-    at most 256 row steps per machine. It also keeps the last word asked
-    about, with its machine, its last state set and its accepting run,
-    which a trace or graph of an equal word on that machine reuses.
+    the machine: fa.execution finds the tables it builds from them by the
+    machine's identity, and reuses them whenever that same object comes
+    back.
     """
 
     kind: str

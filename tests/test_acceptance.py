@@ -53,10 +53,10 @@ def test_criterion_1_golden_reject_graph(two_branch):
         elapsed = time.perf_counter() - started
         assert cg.verdict == REJECT
         assert cg.highlighted == {"G", "ds"}
-        dead_edges = sorted(e.triple for e in cg.edges if e.to_dead)
+        dead_edges = sorted(e[:3] for e in cg.edges if e.to_dead)
         assert dead_edges == [("C", "b", "ds"), ("D", "b", "ds"), ("S", "b", "ds")]
         rules = {tuple(r) for r in two_branch.rules}
-        assert {e.triple for e in cg.edges if not e.to_dead} <= rules
+        assert {e[:3] for e in cg.edges if not e.to_dead} <= rules
         assert elapsed < 1.0
 
 
@@ -93,7 +93,7 @@ def test_criterion_2_golden_accept_graph(two_branch):
         assert cg.verdict == ACCEPT
         assert cg.highlighted == {"S"}
         assert not any(e.to_dead for e in cg.edges)
-        triples = {e.triple for e in cg.edges}
+        triples = {e[:3] for e in cg.edges}
         paths = accepting_paths(triples, "S", {"S"}, "abaaba")
         assert len(paths) == 1
         assert set(paths[0]) == triples
@@ -151,7 +151,7 @@ def test_criterion_5_brute_force_oracle_on_rejects():
             checked += 1
             end_states, used_rules, stuck = computation_census(machine, word)
             assert cg.highlighted - {cg.dead} == end_states
-            assert {e.triple for e in cg.edges if not e.to_dead} == used_rules
+            assert {e[:3] for e in cg.edges if not e.to_dead} == used_rules
             assert {(e.src, e.read) for e in cg.edges if e.to_dead} == stuck
         assert checked > POPULATION // 2
         assert time.perf_counter() - started < 120.0
@@ -162,7 +162,7 @@ def test_criterion_6_subgraph_property():
         for machine, word in population():
             cg = build_computation_graph(machine, word)
             rules = {tuple(r) for r in machine.rules}
-            assert {e.triple for e in cg.edges if not e.to_dead} <= rules
+            assert {e[:3] for e in cg.edges if not e.to_dead} <= rules
             machine_nodes, machine_edges = parse_dot(machine_to_dot(machine))
             _, cg_edges = parse_dot(cgraph_to_dot(cg))
             for (src, dst), (labels, dashed) in cg_edges.items():

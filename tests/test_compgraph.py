@@ -1,3 +1,6 @@
+import random
+from itertools import chain, count
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,19 +10,23 @@ from fa import (
     EMP,
     REJECT,
     CGEdge,
-    Config,
     apply,
     build_computation_graph,
     make_ndfa,
     show_transitions,
 )
-from fa.execution import computation_tree_to_cg_edges, edges_for_configuration, next_configurations
 from helpers import (
     computation_census,
     count_calls,
+    cox_ndfa,
     dfa_with_word,
     ndfa_with_word,
+    random_ndfa,
+    random_regex,
+    random_word,
     regex_ndfa_with_word,
+    subset_dfa,
+    thompson_ndfa,
 )
 
 
@@ -31,75 +38,95 @@ FIG_REJECT_WORD = "abbabb"
 FIG_ACCEPT_WORD = "abaaba"
 
 
-class TestEdgesForConfiguration:
-    def test_long_suffix_gives_regular_edges(self, two_branch):
-        got = edges_for_configuration(two_branch, Config("C", tuple("abb")), "ds")
-        assert got == [CGEdge("C", "a", "E")]
+def dead_pairs(cg):
+    return {(e.src, e.read) for e in cg.edges if e.to_dead}
 
-    def test_only_emp_rules_get_dead_edge_prepended(self, two_branch):
-        got = edges_for_configuration(two_branch, Config("D", ("b",)), "ds")
-        assert got == [dead_edge("D", "b"), CGEdge("D", EMP, "S")]
 
-    def test_empty_suffix_yields_special_emp_edges_only(self):
+class TestRejectedGraphEdges:
+    """The edges each configuration of a rejected word gives, and the
+    configurations that follow from them, seen through build_computation_graph."""
+
+    def test_a_state_reading_the_next_symbol_takes_its_rule_and_no_dead_edge(self, two_branch):
+        # a run is at C with "abb" left, and C reads that a
+        cg = build_computation_graph(two_branch, "ababb")
+        assert CGEdge("C", "a", "E") in cg.edges
+        assert ("C", "a") not in dead_pairs(cg)
+
+    def test_a_state_with_only_emp_rules_gets_a_dead_edge_and_its_emp_rules(self, two_branch):
+        # a run is at D with "b" left, and D only moves on EMP to S, which cannot read b
+        cg = build_computation_graph(two_branch, "abb")
+        assert dead_edge("D", "b") in cg.edges and CGEdge("D", EMP, "S") in cg.edges
+        assert dead_pairs(cg) == {("C", "b"), ("D", "b"), ("S", "b")}
+        assert cg.dead == "ds"
+
+    def test_emp_rules_at_the_end_of_the_word_are_edges_and_their_ends_highlighted(self):
         m = make_ndfa(["Q", "R"], ["a"], "Q", [], [("Q", EMP, "R")])
-        assert edges_for_configuration(m, Config("Q", ()), "ds") == [CGEdge("Q", EMP, "R")]
-        assert edges_for_configuration(m, Config("R", ()), "ds") == []
+        cg = build_computation_graph(m, "")
+        assert cg.edges == (CGEdge("Q", EMP, "R"),)
+        assert cg.dead is None
         # runs end where these edges lead, so the graph highlights both states
-        assert build_computation_graph(m, "").highlighted == {"Q", "R"}
+        assert cg.highlighted == {"Q", "R"}
 
-    def test_no_applicable_rules_gives_just_the_dead_edge(self, two_branch):
-        got = edges_for_configuration(two_branch, Config("S", tuple("babb")), "ds")
-        assert got == [dead_edge("S", "b")]
+    def test_a_state_with_no_rule_to_take_gets_just_the_dead_edge(self, two_branch):
+        cg = build_computation_graph(two_branch, "babb")
+        assert cg.edges == (dead_edge("S", "b"),)
+        assert cg.highlighted == {"ds"}
 
-    def test_single_symbol_left_consuming_edges_are_special(self, two_branch):
-        got = edges_for_configuration(two_branch, Config("F", ("b",)), "ds")
-        assert got == [CGEdge("F", "b", "G")]
-        # the run that reads the last b along this edge ends in G
-        assert build_computation_graph(two_branch, "abb").highlighted == {"G", "ds"}
+    def test_a_rule_reading_the_last_symbol_leads_to_a_highlighted_end(self, two_branch):
+        # a run is at F with "b" left; it reads the last b along (F, b, G) and ends in G
+        cg = build_computation_graph(two_branch, "abb")
+        assert CGEdge("F", "b", "G") in cg.edges
+        assert ("F", "b") not in dead_pairs(cg)
+        assert cg.highlighted == {"G", "ds"}
 
+    def test_successors_follow_the_edges(self, two_branch):
+        cg = build_computation_graph(two_branch, "a")
+        assert cg.edges == (CGEdge("S", "a", "A"), CGEdge("S", "a", "B"))
+        assert cg.highlighted == {"A", "B"}
+        assert cg.dead is None
 
-class TestNextConfigurations:
-    def test_successors_follow_edges(self, two_branch):
-        word = tuple(FIG_REJECT_WORD)
-        frontier = [Config("S", word)]
-        edges = edges_for_configuration(two_branch, frontier[0], "ds")
-        assert next_configurations(edges, frontier, []) == [
-            Config("A", word[1:]),
-            Config("B", word[1:]),
-        ]
+    def test_an_emp_edge_keeps_the_suffix(self):
+        # R reads the a only if the EMP move from Q left it unread
+        m = make_ndfa(["Q", "R"], ["a"], "Q", [], [("Q", EMP, "R"), ("R", "a", "Q")])
+        cg = build_computation_graph(m, "a")
+        assert cg.edges == (dead_edge("Q", "a"), CGEdge("Q", EMP, "R"), CGEdge("R", "a", "Q"))
+        assert cg.highlighted == {"Q", "R", "ds"}
 
-    def test_emp_edge_keeps_suffix(self):
-        assert next_configurations([CGEdge("Q", EMP, "R")], [Config("Q", ())], []) == [
-            Config("R", ())
-        ]
+    def test_configurations_seen_before_end_the_traversal(self):
+        # the EMP cycle leads back to configurations already seen at every position
+        m = make_ndfa(["Q", "R"], ["a"], "Q", [], [("Q", EMP, "R"), ("R", EMP, "Q"), ("R", "a", "R")])
+        cg = build_computation_graph(m, "aa")
+        assert cg.edges == (
+            dead_edge("Q", "a"),
+            CGEdge("Q", EMP, "R"),
+            CGEdge("R", EMP, "Q"),
+            CGEdge("R", "a", "R"),
+        )
+        assert cg.highlighted == {"Q", "R", "ds"}
 
-    def test_fully_visited_successors_contribute_nothing(self):
-        edges = [CGEdge("Q", EMP, "R")]
-        frontier = [Config("Q", ("a",))]
-        assert next_configurations(edges, frontier, [Config("R", ("a",))]) == []
+    def test_the_dead_state_is_not_explored(self):
+        # the dead state takes the rest of the word, so no edge leaves it
+        m = make_ndfa(["Q"], ["a", "b"], "Q", [], [])
+        cg = build_computation_graph(m, "ab")
+        assert cg.edges == (dead_edge("Q", "a"),)
+        assert cg.highlighted == {"ds"}
 
-    def test_dead_targets_are_not_explored(self):
-        edges = [dead_edge("Q", "a")]
-        assert next_configurations(edges, [Config("Q", ("a",))], []) == []
-
-
-class TestComputationTree:
-    def test_first_level_contains_consuming_edge(self):
+    def test_the_first_consuming_rule_is_an_edge(self):
         m = make_ndfa(["S", "F"], ["a", "b"], "S", ["F"], [("S", "a", "F"), ("F", "b", "F")])
-        got = computation_tree_to_cg_edges(m, [Config("S", ("a", "b"))], [])
-        assert CGEdge("S", "a", "F") in got
+        cg = build_computation_graph(m, "aba")
+        assert cg.edges == (dead_edge("F", "a"), CGEdge("S", "a", "F"), CGEdge("F", "b", "F"))
+        assert cg.highlighted == {"ds"}
 
-    def test_empty_suffix_without_emp_rules_yields_nothing(self):
-        m = make_ndfa(["Q"], ["a"], "Q", [], [])
-        assert computation_tree_to_cg_edges(m, [Config("Q", ())], []) == []
-
-    def test_emp_self_loop_stops_after_revisit(self):
+    @pytest.mark.parametrize("word", ["", "aa"])
+    def test_emp_self_loop_is_one_edge_and_ends_the_traversal(self, word):
         m = make_ndfa(["Q"], ["a"], "Q", [], [("Q", EMP, "Q")])
-        got = computation_tree_to_cg_edges(m, [Config("Q", ("a",))], [])
-        assert dead_edge("Q", "a") in got
-        assert CGEdge("Q", EMP, "Q") in got
-        # one revisit of (Q, "a") happens before the guard kicks in
-        assert got == [dead_edge("Q", "a"), CGEdge("Q", EMP, "Q")] * 2
+        cg = build_computation_graph(m, word)
+        if word:
+            assert cg.edges == (dead_edge("Q", "a"), CGEdge("Q", EMP, "Q"))
+            assert (cg.highlighted, cg.dead) == ({"ds"}, "ds")
+        else:
+            assert cg.edges == (CGEdge("Q", EMP, "Q"),)
+            assert (cg.highlighted, cg.dead) == ({"Q"}, None)
 
 
 class TestMakeCgEdges:
@@ -198,7 +225,7 @@ class TestBuildComputationGraph:
     def test_one_word_check_and_one_search_per_build(self, two_branch, monkeypatch):
         # one pass over the state sets decides; only an accepted word searches for
         # its run, and only a rejected word is traversed
-        names = ["check_word", "accepting_run", "computation_tree_to_cg_edges", "_end_mask"]
+        names = ["check_word", "accepting_run", "_tree_triples", "_end_mask"]
         calls = count_calls(monkeypatch, [*names, "_walk"])
         for word, searches, traversals in ((FIG_ACCEPT_WORD, 1, 0), (FIG_REJECT_WORD, 0, 1)):
             calls.update(dict.fromkeys(calls, 0))
@@ -206,7 +233,7 @@ class TestBuildComputationGraph:
             assert calls == {
                 "check_word": 1,
                 "accepting_run": searches,
-                "computation_tree_to_cg_edges": traversals,
+                "_tree_triples": traversals,
                 "_end_mask": 1,
                 "_walk": 1,
             }
@@ -234,7 +261,7 @@ class TestBuildComputationGraph:
         # the machine's last word keeps its S_n and accepting run, so the trace
         # and graph that follow apply on the same word walk and search no more
         machine = request.getfixturevalue(fixture)
-        names = ["check_word", "_walk", "_search", "computation_tree_to_cg_edges"]
+        names = ["check_word", "_walk", "_search", "_tree_triples"]
         calls = count_calls(monkeypatch, names)
         assert apply(machine, word) == verdict
         show_transitions(machine, word)
@@ -243,7 +270,7 @@ class TestBuildComputationGraph:
             "check_word": 3,
             "_walk": 1,
             "_search": searches,
-            "computation_tree_to_cg_edges": traversals,
+            "_tree_triples": traversals,
         }
 
     def test_emp_chain_on_empty_word_highlights_chain_ends(self):
@@ -272,8 +299,43 @@ def test_reject_graphs_match_brute_force_census(machine_word):
     end_states, used_rules, stuck = computation_census(machine, word)
     assert cg.highlighted == end_states | ({cg.dead} if stuck else set())
     assert (cg.dead is None) == (not stuck)
-    assert {e.triple for e in cg.edges if not e.to_dead} == used_rules
+    assert {e[:3] for e in cg.edges if not e.to_dead} == used_rules
     assert {(e.src, e.read) for e in cg.edges if e.to_dead} == stuck
+
+
+def seeded_machines_and_words():
+    """Random ndfas, Thompson machines of random regexes, the subset dfas of
+    both, two words each, and Cox machines on a^(n-1) and a^(2n+1)."""
+    rng = random.Random(20261020)
+    ndfas = [random_ndfa(rng) for _ in range(150)]
+    ndfas += [thompson_ndfa(random_regex(rng)) for _ in range(150)]
+    for ndfa in ndfas:
+        for machine in (ndfa, subset_dfa(ndfa)):
+            for _ in range(2):
+                yield machine, random_word(rng, machine, max_len=8)
+    for n in (10, 20):
+        for k in (n - 1, 2 * n + 1):
+            yield cox_ndfa(n), ("a",) * k
+
+
+def test_rejected_graphs_match_the_census_on_a_seeded_population():
+    kinds = set()
+    for machine, word in seeded_machines_and_words():
+        if apply(machine, word) == ACCEPT:
+            continue
+        cg = build_computation_graph(machine, word)
+        end_states, used_rules, stuck = computation_census(machine, word)
+        names = chain(["ds"], (f"ds{k}" for k in count()))
+        name = next(d for d in names if d not in machine.states)
+        dead = name if stuck else None
+        assert cg.dead == dead
+        assert cg.highlighted == end_states | ({dead} if stuck else set())
+        assert {e[:3] for e in cg.edges if not e.to_dead} == used_rules
+        assert {e[:3] for e in cg.edges if e.to_dead} == {(q, a, name) for q, a in stuck}
+        assert len(cg.edges) == len(used_rules) + len(stuck)
+        kinds.add((machine.kind, len(machine.states) > 4, len(machine.states) >= 80))
+    # dfas past 4 states and the Cox machines (80 and 160 states) were reached
+    assert {("dfa", True, False), ("ndfa", True, True)} <= kinds
 
 
 @given(ndfa_with_word())
@@ -292,7 +354,7 @@ def test_accept_graphs_keep_exactly_the_trace(machine_word):
     for earlier, later in zip(trace.steps, trace.steps[1:]):
         read = EMP if len(earlier.unconsumed) == len(later.unconsumed) else earlier.unconsumed[0]
         used.add((earlier.state, read, later.state))
-    assert {e.triple for e in cg.edges} == used
+    assert {e[:3] for e in cg.edges} == used
 
 
 @given(ndfa_with_word())
@@ -300,7 +362,7 @@ def test_non_dead_edges_are_machine_rules(machine_word):
     machine, word = machine_word
     cg = build_computation_graph(machine, word)
     rules = {tuple(r) for r in machine.rules}
-    assert {e.triple for e in cg.edges if not e.to_dead} <= rules
+    assert {e[:3] for e in cg.edges if not e.to_dead} <= rules
     for e in cg.edges:
         if e.to_dead:
             # dead edges consume a real symbol and end in the fresh, highlighted state
@@ -313,16 +375,16 @@ def test_edges_are_dead_edges_by_src_read_then_rules_in_machine_order(machine_wo
     machine, word = machine_word
     cg = build_computation_graph(machine, word)
     dead = sorted((e for e in cg.edges if e.to_dead), key=lambda e: (e.src, e.read))
-    used = {e.triple for e in cg.edges if not e.to_dead}
-    expected = [e.triple for e in dead] + [tuple(r) for r in machine.rules if r in used]
-    assert [e.triple for e in cg.edges] == expected
+    used = {e[:3] for e in cg.edges if not e.to_dead}
+    expected = [e[:3] for e in dead] + [tuple(r) for r in machine.rules if r in used]
+    assert [e[:3] for e in cg.edges] == expected
 
 
 @given(ndfa_with_word())
 def test_edge_triples_are_unique(machine_word):
     machine, word = machine_word
     cg = build_computation_graph(machine, word)
-    triples = [e.triple for e in cg.edges]
+    triples = [e[:3] for e in cg.edges]
     assert len(triples) == len(set(triples))
 
 
@@ -339,6 +401,6 @@ def test_emp_cycle_graphs_terminate(length):
     assert cg.verdict == REJECT
     if length:
         assert cg.highlighted == {"ds"}
-        assert {e.triple for e in cg.edges if e.to_dead} == {("P", "a", "ds"), ("Q", "a", "ds")}
+        assert {e[:3] for e in cg.edges if e.to_dead} == {("P", "a", "ds"), ("Q", "a", "ds")}
     else:
         assert cg.highlighted == {"P", "Q"}

@@ -337,7 +337,7 @@ def test_ndfa_trace_and_accepted_graph_follow_the_first_accepting_run(machine_wo
     assert list(trace.steps) == run
     steps = {(p, EMP if u == v else u[0], q) for (p, u), (q, v) in zip(run, run[1:])}
     cg = build_computation_graph(machine, word)
-    assert {e.triple for e in cg.edges} == steps
+    assert {e[:3] for e in cg.edges} == steps
     assert cg.highlighted == {run[-1][0]} | ({machine.start} if not word else set())
 
 
@@ -525,7 +525,7 @@ class TestLongWords:
         cg, peak = traced(build_computation_graph, machine, word)
         assert cg.verdict == ACCEPT
         steps = trace.steps
-        assert {e.triple for e in cg.edges} == {
+        assert {e[:3] for e in cg.edges} == {
             (p, EMP if u == v else u[0], q) for (p, u), (q, v) in zip(steps, steps[1:])
         }
         assert peak < GRAPH_PEAK_LIMIT
