@@ -1,16 +1,9 @@
 """Running machines on words: verdicts, traces and computation graphs.
 
-apply decides a word by S_n, its last forward ε-closed state set, so it
-keeps no configurations; state sets are int bit masks, bit k standing
-for machine.states[k]. Traces and graphs decide by S_n first; only an
-accepted word runs accepting_run's (state, position) search, where a
-pair reads only the rules it can take: those that leave its state
-reading EMP or its next symbol. A computation graph keeps the rules some
-run takes over the machine's own states, and sends a run stuck mid-word
-along a dashed edge to a fresh dead state; a rejected word's edges come
-from one computation-tree traversal, _tree_triples. Recently used
-machines keep their tables (_Tables) under one rule budget, each with at
-most _MEMO_LIMIT row steps, and the last word asked about is kept once
+Verdicts come from S_n, the last forward ε-closed state set, an int bit
+mask with bit k for machine.states[k]; only an accepted word runs
+accepting_run's (state, position) search. Recently used machines
+keep their tables (_Tables), and the last word asked about is kept
 (_asked).
 """
 
@@ -35,14 +28,11 @@ from .machines import (
     fresh_dead_state,
 )
 
-# Rules of the machines whose tables are kept (the last machine's are kept
-# whatever its size): about 4.2 MiB of tables, masks and rows on random
-# 150-state, 3-symbol ndfas asked one word each. One 300-state ndfa over 26
-# symbols (11,802 rules) that reads every symbol keeps 3.5 MiB on its own.
+# Rules of the machines whose tables are kept; the last machine's are kept
+# whatever its size.
 _RULE_BUDGET = 2**14
 # Row entries (state-set steps, two masks each) kept per machine; full rows
-# are emptied. One long walk on a 300-state ndfa meets about 300 distinct
-# steps, and words on small machines a dozen or so.
+# are emptied.
 _MEMO_LIMIT = 256
 
 _Run = tuple[tuple[str, int], ...]
@@ -71,27 +61,16 @@ class Trace(NamedTuple):
 class _Tables:
     """One kept Machine's tables, each built the first time a call needs it.
 
-    ``moves`` (symbol -> state -> state, from dfa_delta) is a dfa's one
-    table, which _walk and _dfa_trace follow, so a bad dfa built directly
-    fails every action. ``applicable[symbol][state]`` lists the rules a
-    pair (state, i) with w[i] == symbol can take, in machine order, as
-    exact (dst, consumed, position) triples, consumed 1 for a rule reading
-    the symbol and 0 for EMP; ``applicable[None]`` (i == n) lists the EMP
-    rules alone, and an EMP rule's triple is one object in every list. It
-    serves accepting_run, the accepted graph's rule order and an ndfa's
-    masks. State sets are masks, bit k for states[k]: ``bits`` maps a dfa's
-    states to theirs, ``final_mask`` holds the finals' bits, ``closures``
-    maps each ndfa state to its EMP-closure, ``row_tables[symbol]`` is the
-    symbol's row table (see _row_table), built the first time _step reads
-    the symbol, and ``rows`` is the lazy DFA, rows[symbol][S] the step
-    from S, filled on a miss; ``steps`` counts its entries. So a kept ndfa
-    holds O(|Q|·|Σ|·4) masks of |Q| bits, a list slot per consuming rule
-    and |Σ|+1 per EMP rule, plus _MEMO_LIMIT row steps of two masks each.
-    The first build checks that the start and every rule's ends are
-    states, as make_ndfa does, so a machine built directly without them
-    gets its ValidationError from every action. A build that raises keeps
-    nothing. The record holds its machine, so no other machine can take
-    its id while it is kept.
+    ``moves[symbol][state]`` is a dfa's move table.
+    ``applicable[symbol][state]`` lists the rules a pair reading ``symbol``
+    can take, in machine order, as (dst, consumed, position) triples;
+    ``applicable[None]`` lists the EMP rules alone. ``closures`` maps each
+    ndfa state to its EMP-closure, ``row_tables`` holds each symbol's row
+    table, and ``rows[symbol][S]`` is the lazy DFA's step from S, ``steps``
+    counting its entries. The first build checks that the start and every
+    rule's ends are states, as make_ndfa does, and a build that raises
+    keeps nothing. The record holds its machine, so no other machine can
+    take its id while it is kept.
     """
 
     def __init__(self, machine: Machine) -> None:
@@ -172,12 +151,8 @@ _asked: tuple[Machine, Word, int, _Run | None] | None = None
 
 
 def _tables(machine: Machine) -> _Tables:
-    """The tables of ``machine``, kept while its rules fit _RULE_BUDGET.
-
-    The key is identity: equality would hash every rule on every call. A
-    switch to another machine moves its record to the newest end and
-    evicts the oldest records until the kept rules fit the budget again.
-    """
+    """The tables of ``machine``, keyed by identity: equality would hash
+    every rule on every call."""
     global _last, _kept_rules
     tables = _last
     if tables is not None and tables.machine is machine:
@@ -225,13 +200,8 @@ def accepting_run(machine: Machine, w: Word) -> _Run | None:
 
 
 def _search(machine: Machine, w: Word) -> _Run | None:
-    """accepting_run's breadth-first search with a FIFO queue.
-
-    A pair (q, i) reads only the rules it can take, applicable[w[i]][q]
-    (applicable[None][q] at i == n), in machine order. A pair is queued at
-    most once, so EMP-only loops terminate and the search keeps
-    O(|Q|·|w|) pairs.
-    """
+    """accepting_run's breadth-first search; a pair is queued at most once,
+    so EMP-only loops end."""
     n = len(w)
     finals = machine.finals
     applicable = _tables(machine).applicable
@@ -258,14 +228,8 @@ def _search(machine: Machine, w: Word) -> _Run | None:
 
 
 def _walk(machine: Machine, w: Word) -> int:
-    """S_n's mask: the last forward ε-closed state set of the checked word ``w``.
-
-    A dfa follows its move table one state at a time, and S_n is the bit
-    of the state it ends in; a missing move (a dfa built directly, never
-    completed) gets its run stuck. An ndfa's S_{i+1} is the EMP-closure of
-    the states S_i reaches by reading w[i]: a step is a row lookup, and
-    only a miss calls _step. The walk stops at the first empty set.
-    """
+    """S_n's mask for the checked word ``w``; a dfa built directly, never
+    completed, gets its run stuck on a missing move."""
     tables = _tables(machine)
     if machine.kind == DFA:
         moves, state = tables.moves, machine.start
@@ -289,10 +253,7 @@ def _walk(machine: Machine, w: Word) -> int:
 
 
 def _step(tables: _Tables, current: int, sym: str) -> int:
-    """The mask S_i --sym--> S_{i+1}: the OR of the closed-successor masks
-    of the states in ``current``, read off the row table of ``sym`` as one
-    entry per block of 4 states, two blocks per byte of ``current``, up to
-    its highest set bit."""
+    """The mask S_i --sym--> S_{i+1}, one row-table entry per block of 4 states."""
     table = tables.row_tables.get(sym)
     if table is None:
         table = _row_table(tables, sym)
@@ -308,15 +269,17 @@ def _row_table(tables: _Tables, sym: str) -> list[int]:
     method (Arlazarov et al. 1970).
 
     The states fall into blocks of 4, states[4j] to states[4j + 3], and
-    entry 16j + v is the OR of the closed-successor masks of the states of
-    block j whose bits v sets. A block past the last state is all 0, so
-    the table ends on a whole byte's blocks. Blocks of 3 would keep 15 %
-    fewer bytes for a third more lookups per step. Threads that build one
-    table at once build equal lists, and the last one stored stays, so the
-    walk takes no lock.
+    entry 16j + v is the OR of the closed-successor masks (the EMP-closures
+    of the states each reads ``sym`` into) of the states of block j whose
+    bits v sets. Threads that build one table at once build equal lists,
+    and the last one stored stays, so the walk takes no lock.
     """
-    masks = _successors(tables, sym)
-    masks += [0] * (-len(masks) % 8)
+    states, closures, rules = tables.machine.states, tables.closures, tables.applicable[sym]
+    masks = [0] * ((len(states) + 7) & ~7)  # whole bytes of blocks, as _step reads them
+    for k, q in enumerate(states):
+        for dst, consumed, _ in rules.get(q, ()):
+            if consumed:
+                masks[k] |= closures[dst]
     table: list[int] = []
     four = iter(masks)
     for a, b, c, d in zip(four, four, four, four):
@@ -325,19 +288,6 @@ def _row_table(tables: _Tables, sym: str) -> list[int]:
         table += (d, a | d, b | d, ab | d, cd, a | cd, b | cd, ab | cd)
     tables.row_tables[sym] = table
     return table
-
-
-def _successors(tables: _Tables, sym: str) -> list[int]:
-    """Each state's closed-successor mask on ``sym``, in states order: the OR
-    of the EMP-closures of the states it reads ``sym`` into."""
-    closures, rules, masks = tables.closures, tables.applicable[sym], []
-    for q in tables.machine.states:
-        mask = 0
-        for dst, consumed, _ in rules.get(q, ()):
-            if consumed:
-                mask |= closures[dst]
-        masks.append(mask)
-    return masks
 
 
 def _keep(tables: _Tables, current: int, sym: str, nxt: int) -> None:
@@ -519,15 +469,9 @@ class ComputationGraph(NamedTuple):
 
 
 def _tree_triples(machine: Machine, w: Word, dead: str) -> set[tuple[str, str, str]]:
-    """A rejected graph's edges (src, read, dst), by breadth-first
-    traversal of the computation tree from Config(start, w).
-
-    Each configuration scans every rule for those leaving its state reading
-    EMP or its next symbol; a nonempty suffix with none consuming gives the
-    dead edge into ``dead`` first. A level keeps each edge once, and a
-    configuration adds all its successors along them unless each was in an
-    earlier level or added before it.
-    """
+    """A rejected graph's edges (src, read, dst), by breadth-first traversal
+    of the computation tree from Config(start, w); a configuration that
+    cannot consume its next symbol gets a dead edge into ``dead``."""
     frontier = [Config(machine.start, w)]
     visited: list[Config] = []
     triples: set[tuple[str, str, str]] = set()

@@ -115,11 +115,11 @@ class KeptState(RuleBasedStateMachine):
         return twin
 
     @rule(target=cases, machine=machines, symbols=st.lists(st.integers(0, 2), max_size=8))
-    def random_word(self, machine, symbols):
+    def random_case(self, machine, symbols):
         return machine, tuple(machine.sigma[k % len(machine.sigma)] for k in symbols)
 
     @rule(target=cases, machine=machines, seed=st.integers(0, 2**16))
-    def walked_word(self, machine, seed):
+    def walked_case(self, machine, seed):
         return machine, walked_word(machine, seed)
 
     @rule(case=cases, spell=st.sampled_from(SPELLINGS))
