@@ -2,9 +2,9 @@
 
 Verdicts come from S_n, the last forward ε-closed state set, an int bit
 mask with bit k for machine.states[k]; only an accepted word runs
-accepting_run's (state, position) search. Recently used machines
-keep their tables (_Tables), and the last word asked about is kept
-(_asked).
+accepting_run's (state, position) search. Each machine keeps its tables
+(_Tables) on itself for as long as it lives, and the last word asked
+about is kept (_asked).
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .machines import (
     fresh_dead_state,
 )
 
-# Rules of the machines whose tables are kept; the last machine's are kept
-# whatever its size.
-_RULE_BUDGET = 2**14
 # Row entries (state-set steps, two masks each) kept per machine; full rows
 # are emptied.
 _MEMO_LIMIT = 256
@@ -59,7 +56,7 @@ class Trace(NamedTuple):
 
 
 class _Tables:
-    """One kept Machine's tables, each built the first time a call needs it.
+    """One Machine's tables, each built the first time a call needs it.
 
     ``moves[symbol][state]`` is a dfa's move table.
     ``applicable[symbol][state]`` lists the rules a pair reading ``symbol``
@@ -69,8 +66,8 @@ class _Tables:
     table, and ``rows[symbol][S]`` is the lazy DFA's step from S, ``steps``
     counting its entries. The first build checks that the start and every
     rule's ends are states, as make_ndfa does, and a build that raises
-    keeps nothing. The record holds its machine, so no other machine can
-    take its id while it is kept.
+    keeps nothing. The record holds its machine's components, not the
+    machine, so dropping the machine frees it without a collection.
     """
 
     def __init__(self, machine: Machine) -> None:
@@ -78,25 +75,26 @@ class _Tables:
             raise ValidationError(
                 "start-not-in-states", f"start state {machine.start!r} is not in the state set"
             )
-        self.machine = machine
+        _, self.states, self.sigma, _, self.finals, self.rules = machine
+        self.generation = _generation
         self.rows: dict[str, dict[int, int]] = {sym: {} for sym in machine.sigma}
         self.steps = 0
         self.row_tables: dict[str, list[int]] = {}
 
     @cached_property
     def bits(self) -> dict[str, int]:
-        return {q: 1 << k for k, q in enumerate(self.machine.states)}
+        return {q: 1 << k for k, q in enumerate(self.states)}
 
     @cached_property
     def final_mask(self) -> int:
-        finals = set(self.machine.finals)
-        return sum(1 << k for k, q in enumerate(self.machine.states) if q in finals)
+        finals = set(self.finals)
+        return sum(1 << k for k, q in enumerate(self.states) if q in finals)
 
     @cached_property
     def moves(self) -> dict[str, dict[str, str]]:
         moves: dict[str, dict[str, str]] = {}
-        names = set(self.machine.states)
-        for (src, read), dst in dfa_delta(self.machine.rules).items():
+        names = set(self.states)
+        for (src, read), dst in dfa_delta(self.rules).items():
             if src not in names or dst not in names:
                 raise _unknown_state((src, read, dst))
             moves.setdefault(read, {})[src] = dst
@@ -105,12 +103,12 @@ class _Tables:
     @cached_property
     def applicable(self) -> dict[str | None, dict[str, tuple[tuple[str, int, int], ...]]]:
         # exact tuples, not the Rules: a loop unpacks a tuple subclass 3x slower
-        names = set(self.machine.states)
+        names = set(self.states)
         emp: dict[str, list[tuple[str, int, int]]] = {}
         table: dict[str | None, dict[str, list[tuple[str, int, int]]]] = {
-            sym: {} for sym in self.machine.sigma
+            sym: {} for sym in self.sigma
         }
-        for k, (src, read, dst) in enumerate(self.machine.rules):
+        for k, (src, read, dst) in enumerate(self.rules):
             if src not in names or dst not in names:
                 raise _unknown_state((src, read, dst))
             if read == EMP:
@@ -126,7 +124,7 @@ class _Tables:
     @cached_property
     def closures(self) -> dict[str, int]:
         emp = {q: [dst for dst, _, _ in rules] for q, rules in self.applicable[None].items()}
-        return _closures(self.machine.states, emp)
+        return _closures(self.states, emp)
 
 
 def _unknown_state(rule: tuple[str, str, str]) -> ValidationError:
@@ -135,12 +133,9 @@ def _unknown_state(rule: tuple[str, str, str]) -> ValidationError:
     )
 
 
-# id(machine) -> its record, least recently used first; _last is the newest.
-# _lock guards the cache, the rule count and each record's row count; the
-# fast path of _tables reads _last alone.
-_cache: dict[int, _Tables] = {}
-_last: _Tables | None = None
-_kept_rules = 0
+# _forget() bumps it, so that every record built before is rebuilt on use
+_generation = 0
+# guards each record's rows and row count, and the generation
 _lock = threading.Lock()
 
 # (machine, w, S_n's mask, run) for the last checked word: _end_mask fills it,
@@ -151,32 +146,23 @@ _asked: tuple[Machine, Word, int, _Run | None] | None = None
 
 
 def _tables(machine: Machine) -> _Tables:
-    """The tables of ``machine``, keyed by identity: equality would hash
-    every rule on every call."""
-    global _last, _kept_rules
-    tables = _last
-    if tables is not None and tables.machine is machine:
-        return tables
-    with _lock:
-        tables = _cache.pop(id(machine), None)
-        if tables is None:
-            tables = _Tables(machine)
-            _kept_rules += len(machine.rules)
-        _cache[id(machine)] = tables
-        while _kept_rules > _RULE_BUDGET and len(_cache) > 1:
-            old = _cache.pop(next(iter(_cache)))
-            _kept_rules -= len(old.machine.rules)
-        _last = tables
+    """The record kept on ``machine``; threads that first ask it at once
+    share the one stored first."""
+    kept = machine.__dict__
+    tables = kept.get("_tables")
+    if tables is None:
+        tables = kept.setdefault("_tables", _Tables(machine))
+    if tables.generation != _generation:  # built before _forget(); the last stored stays
+        tables = kept["_tables"] = _Tables(machine)
     return tables
 
 
 def _forget() -> None:
     """Drop every kept table, row and word, as at import."""
-    global _last, _kept_rules, _asked
+    global _generation, _asked
     with _lock:
-        _cache.clear()
-        _last = _asked = None
-        _kept_rules = 0
+        _generation += 1
+        _asked = None
 
 
 def accepting_run(machine: Machine, w: Word) -> _Run | None:
@@ -274,7 +260,7 @@ def _row_table(tables: _Tables, sym: str) -> list[int]:
     bits v sets. Threads that build one table at once build equal lists,
     and the last one stored stays, so the walk takes no lock.
     """
-    states, closures, rules = tables.machine.states, tables.closures, tables.applicable[sym]
+    states, closures, rules = tables.states, tables.closures, tables.applicable[sym]
     masks = [0] * ((len(states) + 7) & ~7)  # whole bytes of blocks, as _step reads them
     for k, q in enumerate(states):
         for dst, consumed, _ in rules.get(q, ()):
@@ -387,7 +373,7 @@ def apply(machine: Machine, word: Sequence[str]) -> str:
     The decision walks the forward state sets, where a step is a row hit
     or at most ⌈|Q|/4⌉ ORs of row-table entries. So it takes O(|w|·|Q|)
     time and O(|Q|) memory on top of the row table of each symbol it
-    reads (4·|Q| masks, built once per kept machine), and builds no
+    reads (4·|Q| masks, built once per machine), and builds no
     configuration.
     """
     ends = _end_mask(machine, check_word(machine, word))

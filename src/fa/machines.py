@@ -61,24 +61,29 @@ class Rule(NamedTuple):
     dst: str
 
 
-class Machine(NamedTuple):
-    """A deterministic or nondeterministic finite-state automaton.
-
-    Component order is preserved from construction (after duplicates are
-    dropped), so everything downstream iterates deterministically.
-    Instances are immutable and safe to share across threads. The
-    components are tuples, and must stay unchanged once a call has used
-    the machine: fa.execution finds the tables it builds from them by the
-    machine's identity, and reuses them whenever that same object comes
-    back.
-    """
-
+class _Components(NamedTuple):
     kind: str
     states: tuple[str, ...]
     sigma: tuple[str, ...]
     start: str
     finals: tuple[str, ...]
     rules: tuple[Rule, ...]
+
+
+class Machine(_Components):
+    """A deterministic or nondeterministic finite-state automaton.
+
+    Component order is preserved from construction (after duplicates are
+    dropped), so everything downstream iterates deterministically.
+    Instances are immutable and safe to share across threads. The
+    components are tuples, and must stay unchanged once a call has used
+    the machine: fa.execution keeps the tables it builds from them on the
+    machine object, which frees them with it. Pickles and copies carry no
+    tables.
+    """
+
+    def __getstate__(self) -> None:
+        return None
 
 
 def _checked_components(states, sigma, start, finals, rules):

@@ -1,9 +1,12 @@
+import copy
 import gc
+import pickle
 import random
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -600,17 +603,9 @@ def fresh(action, machine, word):
     return action(machine, word)
 
 
-def agree_under_threads(cases):
-    """Four threads run three_actions on every case, each in its own shuffled
-    order, and each gets what a serial run gets."""
-    expected = [three_actions(m, w) for m, w in cases]
-    results = {}
-
-    def worker(k):
-        order = list(range(len(cases)))
-        random.Random(k).shuffle(order)
-        results[k] = {i: three_actions(*cases[i]) for i in order}
-
+def in_four_threads(worker):
+    """Run worker(0) to worker(3) in threads at once, switching between them
+    as often as the interpreter allows, and wait for all four."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -622,16 +617,36 @@ def agree_under_threads(cases):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+def agree_under_threads(cases, forget=False):
+    """Four threads run three_actions on every case, each in its own shuffled
+    order, and each gets what a serial run gets. With ``forget`` each thread
+    drops every kept table, row and word before every other case."""
+    expected = [three_actions(m, w) for m, w in cases]
+    results = {}
+
+    def run(i):
+        if forget and i % 2:
+            forget_tables()
+        return three_actions(*cases[i])
+
+    def worker(k):
+        order = list(range(len(cases)))
+        random.Random(k).shuffle(order)
+        results[k] = {i: run(i) for i in order}
+
+    in_four_threads(worker)
     assert sorted(results) == [0, 1, 2, 3]
     for got in results.values():
         assert [got[i] for i in range(len(cases))] == expected
 
 
 class TestMachineTables:
-    """Recently used machines keep their tables, and the last word asked
-    about is kept: what apply builds and finds (S_n, and an accepting run
-    once a call has searched), the trace and graph on the same machine and
-    an equal word reuse."""
+    """Each machine keeps its tables for as long as it lives, and the last
+    word asked about is kept: what apply builds and finds (S_n, and an
+    accepting run once a call has searched), the trace and graph on the
+    same machine and an equal word reuse."""
 
     @pytest.mark.parametrize(
         "fixture,accepted,rejected,tables",
@@ -732,17 +747,56 @@ class TestMachineTables:
         # long words give a thread more steps in which another can switch machines
         agree_under_threads(interleaved_cases(seed=29, count=600, max_len=40))
 
-    @pytest.mark.parametrize(
-        "budgets",
-        [{"_RULE_BUDGET": 1}, {"_MEMO_LIMIT": 4}],
-        ids=["every-switch-evicts", "rows-cleared-under-walks"],
-    )
-    def test_threads_on_machines_that_evict_each_other_agree_with_a_serial_run(
-        self, monkeypatch, budgets
-    ):
-        for name, value in budgets.items():
-            monkeypatch.setattr(fa.execution, name, value)
+    def test_threads_that_forget_the_tables_under_each_other_agree_with_a_serial_run(self):
+        # every machine's record goes stale under walks, searches and graphs
+        agree_under_threads(interleaved_cases(seed=47, count=300, max_len=40), forget=True)
+
+    def test_threads_that_clear_rows_under_walks_agree_with_a_serial_run(self, monkeypatch):
+        monkeypatch.setattr(fa.execution, "_MEMO_LIMIT", 4)
         agree_under_threads(interleaved_cases(seed=47, count=300, max_len=40))
+
+    def test_threads_first_asking_one_fresh_machine_share_one_record(self, monkeypatch):
+        # every thread builds a record for the fresh machine at about the same
+        # time; only the first stored is kept, and every call reads that one
+        cases = interleaved_cases(seed=101, machines=2, count=80, max_len=40)
+        machine = cases[0][0]
+        words = [w for m, w in cases if m is machine]
+        twin = Machine(*machine)  # the serial run leaves the machine fresh
+        expected = [three_actions(twin, w) for w in words]
+        assert not vars(machine)
+        builds, used = [], []
+        tables = fa.execution._tables
+
+        class Slow(fa.execution._Tables):
+            def __init__(self, machine):
+                builds.append(self)
+                time.sleep(0.01)  # other threads reach the same miss meanwhile
+                super().__init__(machine)
+
+        def recording(machine):
+            record = tables(machine)
+            used.append(record)
+            return record
+
+        monkeypatch.setattr(fa.execution, "_Tables", Slow)
+        monkeypatch.setattr(fa.execution, "_tables", recording)
+        start = threading.Barrier(4)
+        results = {}
+
+        def worker(k):
+            order = list(range(len(words)))
+            random.Random(k).shuffle(order)
+            start.wait()
+            results[k] = {i: three_actions(machine, words[i]) for i in order}
+
+        in_four_threads(worker)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            assert [got[i] for i in range(len(words))] == expected
+        assert len(builds) > 1  # some threads built a record at once
+        kept = vars(machine)["_tables"]
+        assert list(vars(machine)) == ["_tables"] and kept in builds
+        assert all(t is kept for t in used)
 
     def test_one_machine_asked_many_words_matches_a_cache_reset_before_every_call(self):
         cases = same_machine_cases(seed=31)
@@ -775,17 +829,7 @@ class TestMachineTables:
             random.Random(k).shuffle(order)
             results[k] = [(i, three_actions(machine, words[i])) for i in order]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        in_four_threads(worker)
         assert sorted(results) == [0, 1, 2, 3]
         for got in results.values():
             assert all(result == expected[i] for i, result in got)
@@ -812,13 +856,10 @@ class TestMachineTables:
         graph = build_computation_graph(two_branch, v)
         assert graph == fresh(build_computation_graph, two_branch, v)
 
-    def test_the_cache_keeps_one_machines_tables(self, monkeypatch):
-        # with a rule budget every machine passes, only the last one is kept
-        monkeypatch.setattr(fa.execution, "_RULE_BUDGET", 1)
-
+    def test_a_dropped_machine_leaves_only_the_last_word_behind(self):
         def kept(seeds):
             """Traced bytes still held after deciding and tracing each machine in turn,
-            and the bytes that forgetting the tables then frees."""
+            and the bytes that forgetting the last word then frees."""
             forget_tables()
             tracemalloc.start()
             try:
@@ -828,6 +869,7 @@ class TestMachineTables:
                     machine, word = walked_ndfa(seed, length=24, size=150)
                     assert apply(machine, word) == ACCEPT
                     assert show_transitions(machine, word).verdict == ACCEPT
+                del machine, word
                 gc.collect()
                 held = tracemalloc.get_traced_memory()[0]
                 forget_tables()
@@ -835,61 +877,53 @@ class TestMachineTables:
             finally:
                 tracemalloc.stop()
 
-        one, one_tables = kept([99])
-        many, many_tables = kept(range(100))
-        # the hundredth machine is the one measured alone: the 99 before it
-        # leave nothing behind, in the tables or anywhere else
-        assert 0 < one_tables < one
-        assert many_tables <= 1.1 * one_tables
-        assert many <= one + 0.1 * one_tables
+        one, one_asked = kept([99])
+        many, many_asked = kept(range(100))
+        # the hundredth machine is the one measured alone: the last word holds
+        # it and its tables, and the 99 before it leave nothing behind
+        assert 0 < one_asked <= one
+        assert many_asked <= 1.1 * one_asked
+        assert many <= one + 0.1 * one_asked
 
-    def test_the_kept_tables_and_rows_stay_within_their_budgets(self):
+    def test_a_dropped_machines_tables_are_freed_without_a_collection(self):
         forget_tables()
-        tracemalloc.start()
+        gc.collect()
+        gc.disable()
         try:
-            # one machine's bytes per rule (the machine's own, its tables' and the
-            # masks its word fills) and per row step, with its word and trace
-            gc.collect()
-            start = tracemalloc.get_traced_memory()[0]
-            machine, word = walked_ndfa(99, length=24, size=150)
-            assert apply(machine, word) == ACCEPT
-            tables = fa.execution._tables(machine)
-            tables.applicable
-            for row in tables.rows.values():
-                row.clear()
-            tables.steps = 0
-            gc.collect()
-            built = tracemalloc.get_traced_memory()[0]
-            assert fa.execution._walk(machine, tuple(word))  # fills the rows alone again
-            gc.collect()
-            walked = tracemalloc.get_traced_memory()[0]
-            assert show_transitions(machine, word).verdict == ACCEPT
-            gc.collect()
-            one_word = tracemalloc.get_traced_memory()[0] - walked
-            per_rule = (built - start) / len(machine.rules)
-            per_step = (walked - built) / tables.steps
-            del machine, word, tables
-            forget_tables()
-            gc.collect()
-            start = tracemalloc.get_traced_memory()[0]
+            # held, so that no record built below can take the id of one of these
+            before = {id(t): t for t in gc.get_objects() if isinstance(t, fa.execution._Tables)}
+            kept, dropped = [], []
             for seed in range(100):
                 machine, word = walked_ndfa(seed, length=24, size=150)
                 assert apply(machine, word) == ACCEPT
                 assert show_transitions(machine, word).verdict == ACCEPT
-            del machine, word
-            kept = len(fa.execution._cache)
-            assert fa.execution._kept_rules <= fa.execution._RULE_BUDGET
-            assert all(t.steps <= fa.execution._MEMO_LIMIT for t in fa.execution._cache.values())
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - start
+                tables = vars(machine)["_tables"]
+                assert tables.steps == sum(map(len, tables.rows.values())) <= fa.execution._MEMO_LIMIT
+                if seed % 10 == 0:
+                    kept.append(machine)  # the caller keeps every tenth machine
+                else:
+                    dropped.append(weakref.ref(tables))
+                del machine, word, tables
+            # the last word holds the last machine, and with it its tables
+            assert all(r() is None for r in dropped[:-1]) and dropped[-1]() is not None
+            left = {id(t) for t in gc.get_objects() if isinstance(t, fa.execution._Tables)}
+            held = kept + [fa.execution._asked[0]]
+            assert left - before.keys() == {id(vars(m)["_tables"]) for m in held}
         finally:
+            gc.enable()
             forget_tables()
-            tracemalloc.stop()
-        # the machines of about 470 rules that fit the rule budget are all kept
-        assert kept > 30
-        # each kept machine's rows hold at most _MEMO_LIMIT steps
-        rows = per_step * fa.execution._MEMO_LIMIT * kept
-        assert held <= 1.1 * (per_rule * fa.execution._RULE_BUDGET + rows) + one_word
+
+    def test_pickles_and_copies_of_a_used_machine_carry_no_tables(self, two_branch):
+        assert three_actions(two_branch, "abbab")[0] == ACCEPT
+        assert list(vars(two_branch)) == ["_tables"]
+        copies = [pickle.loads(pickle.dumps(two_branch, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(two_branch), copy.deepcopy(two_branch), two_branch._replace()]
+        for other in copies:
+            assert type(other) is Machine and other == two_branch and other is not two_branch
+            assert repr(other) == repr(two_branch) and hash(other) == hash(two_branch)
+            assert not vars(other)
+            assert three_actions(other, "abbab") == three_actions(two_branch, "abbab")
+            assert vars(other)["_tables"] is not vars(two_branch)["_tables"]
 
 
 class TestRowTable:
@@ -928,15 +962,16 @@ class TestRowTable:
         monkeypatch.setattr(fa.execution, "_keep", counting)
         rng = random.Random(43 + limit)
         cleared = accepted = 0
-        for machine, regex in machine_pool(rng, machines=40):
+        pool = machine_pool(rng, machines=40)
+        for machine, regex in pool:
             for _ in range(20):  # only the pool's ndfas keep rows
                 word = draw_word(rng, machine, regex, max_len=10)
                 clears.clear()
                 verdict = apply(machine, word)
                 assert (verdict == ACCEPT) == brute_force_accepts(machine, word)
-                # every kept machine counts its row entries, and holds at most limit
-                for tables in fa.execution._cache.values():
-                    assert tables.steps == sum(map(len, tables.rows.values())) <= limit
+                # every machine asked counts its row entries, and holds at most limit
+                for tables in (vars(m).get("_tables") for m, _ in pool):
+                    assert tables is None or tables.steps == sum(map(len, tables.rows.values())) <= limit
                 cleared += any(clears)
                 accepted += verdict == ACCEPT
         assert cleared > 50 and accepted > 50
@@ -948,7 +983,7 @@ class TestRowTable:
         for machine, word in cases:
             apply(machine, word)
             show_transitions(machine, word)
-        # every machine of the pool fits the rule budget, so none is evicted
+        # every machine of the pool lives in cases, and keeps its closures
         assert passes["_closures"] == len({id(m) for m, _ in cases if m.kind == "ndfa"}) > 4
 
     def test_each_symbols_row_table_is_built_once_per_kept_table(self, monkeypatch):
@@ -1120,48 +1155,37 @@ class TestBlockRowTables:
             machine = sized_ndfa(rng, 65)
             words = sorted({random_word(rng, machine, max_len=12) for _ in range(40)})
             rounds.append((machine, words))
-        expected = [[fresh(apply, m, w) for w in words] for m, words in rounds]
+        # the serial runs ask twins, so that each round's machine stays fresh
+        expected = [[fresh(apply, Machine(*m), w) for w in words] for m, words in rounds]
         serial = []
         for machine, _ in rounds:
-            forget_tables()
-            tables = fa.execution._tables(machine)
+            tables = fa.execution._tables(Machine(*machine))
             serial.append({sym: fa.execution._row_table(tables, sym) for sym in machine.sigma})
         row_table = fa.execution._row_table
         built = []
 
         def slow(tables, sym):
-            built.append((id(tables.machine), sym))  # every machine stays alive
+            built.append((id(tables), sym))  # every machine, and so its record, stays alive
             time.sleep(0.01)  # other threads reach the same miss meanwhile
             return row_table(tables, sym)
 
         monkeypatch.setattr(fa.execution, "_row_table", slow)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for r, (machine, words) in enumerate(rounds):
-                forget_tables()
-                start = threading.Barrier(4)
-                results = {}
+        for r, (machine, words) in enumerate(rounds):
+            start = threading.Barrier(4)
+            results = {}
 
-                def worker(k):
-                    order = list(range(len(words)))
-                    random.Random(k).shuffle(order)
-                    start.wait()
-                    results[k] = {i: apply(machine, words[i]) for i in order}
+            def worker(k):
+                order = list(range(len(words)))
+                random.Random(k).shuffle(order)
+                start.wait()
+                results[k] = {i: apply(machine, words[i]) for i in order}
 
-                threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
-                assert not any(t.is_alive() for t in threads)
-                assert sorted(results) == [0, 1, 2, 3]
-                for got in results.values():
-                    assert [got[i] for i in range(len(words))] == expected[r]
-                kept = fa.execution._tables(machine).row_tables
-                assert kept == {sym: serial[r][sym] for sym in kept}
-        finally:
-            sys.setswitchinterval(interval)
+            in_four_threads(worker)
+            assert sorted(results) == [0, 1, 2, 3]
+            for got in results.values():
+                assert [got[i] for i in range(len(words))] == expected[r]
+            kept = fa.execution._tables(machine).row_tables
+            assert kept == {sym: serial[r][sym] for sym in kept}
         assert len(built) > len(set(built))  # some table was built by two threads at once
 
 

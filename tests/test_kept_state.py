@@ -2,9 +2,9 @@
 
 Hypothesis drives interleavings of machines, equal twins, words spelled as
 str, list or tuple, the five actions and _forget() under small and default
-budgets. Every answer is checked against tests/helpers.py's cache-free
-oracles, and after every step the kept records, the rule count and the
-last word asked about are checked against what they must hold.
+row caps. Every answer is checked against tests/helpers.py's cache-free
+oracles, and after every step each machine's record and the last word
+asked about are checked against what they must hold.
 """
 
 import random
@@ -93,25 +93,29 @@ class KeptState(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.saved = (fa.execution._RULE_BUDGET, fa.execution._MEMO_LIMIT)
+        self.saved = fa.execution._MEMO_LIMIT
         fa.execution._forget()
+        self.built = []  # every machine, in the order built
+        self.asked = {}  # id -> machine, for the machines asked since the last _forget()
 
     def teardown(self):
-        fa.execution._RULE_BUDGET, fa.execution._MEMO_LIMIT = self.saved
+        fa.execution._MEMO_LIMIT = self.saved
         fa.execution._forget()
 
-    @initialize(budget=st.sampled_from([1, 40, 2**14]), limit=st.sampled_from([1, 2, 256]))
-    def set_budgets(self, budget, limit):
-        fa.execution._RULE_BUDGET, fa.execution._MEMO_LIMIT = budget, limit
+    @initialize(limit=st.sampled_from([1, 2, 256]))
+    def set_row_cap(self, limit):
+        fa.execution._MEMO_LIMIT = limit
 
     @rule(target=machines, kind=st.sampled_from(KINDS), seed=st.integers(0, 2**16))
     def build(self, kind, seed):
-        return make_machine(kind, seed)
+        self.built.append(make_machine(kind, seed))
+        return self.built[-1]
 
     @rule(target=machines, machine=machines)
     def twin(self, machine):
         twin = Machine(*machine)
         assert twin == machine and twin is not machine
+        self.built.append(twin)
         return twin
 
     @rule(target=cases, machine=machines, symbols=st.lists(st.integers(0, 2), max_size=8))
@@ -122,25 +126,30 @@ class KeptState(RuleBasedStateMachine):
     def walked_case(self, machine, seed):
         return machine, walked_word(machine, seed)
 
+    def asking(self, case):
+        """``case``, its machine marked as asked."""
+        self.asked[id(case[0])] = case[0]
+        return case
+
     @rule(case=cases, spell=st.sampled_from(SPELLINGS))
     def apply(self, case, spell):
-        machine, word = case
+        machine, word = self.asking(case)
         assert (apply(machine, spell(word)) == ACCEPT) == brute_force_accepts(machine, word)
 
     @rule(case=cases, spell=st.sampled_from(SPELLINGS))
     def end_states(self, case, spell):
-        machine, word = case
+        machine, word = self.asking(case)
         ends = end_states(machine, check_word(machine, spell(word)))
         assert ends == forward_sets(machine, word)[-1]
 
     @rule(case=cases, spell=st.sampled_from(SPELLINGS))
     def accepting_run(self, case, spell):
-        machine, word = case
+        machine, word = self.asking(case)
         assert accepting_run(machine, check_word(machine, spell(word))) == first_run(machine, word)
 
     @rule(case=cases, spell=st.sampled_from(SPELLINGS))
     def show_transitions(self, case, spell):
-        machine, word = case
+        machine, word = self.asking(case)
         trace = show_transitions(machine, spell(word))
         run = first_run(machine, word)
         if machine.kind == DFA:  # its one run, accepted or not
@@ -155,7 +164,7 @@ class KeptState(RuleBasedStateMachine):
 
     @rule(case=cases, spell=st.sampled_from(SPELLINGS))
     def build_computation_graph(self, case, spell):
-        machine, word = case
+        machine, word = self.asking(case)
         cg = build_computation_graph(machine, spell(word))
         run = first_run(machine, word)
         start = {machine.start} if not word else set()
@@ -177,22 +186,20 @@ class KeptState(RuleBasedStateMachine):
     @rule()
     def forget(self):
         fa.execution._forget()
+        self.asked.clear()
 
     @invariant()
-    def rules_kept_fit_the_budget(self):
-        kept = fa.execution._cache
-        assert fa.execution._kept_rules == sum(len(t.machine.rules) for t in kept.values())
-        assert fa.execution._kept_rules <= fa.execution._RULE_BUDGET or len(kept) == 1
-        assert all(key == id(t.machine) for key, t in kept.items())
-
-    @invariant()
-    def the_last_record_is_the_newest(self):
-        kept = list(fa.execution._cache.values())
-        assert fa.execution._last is (kept[-1] if kept else None)
+    def the_machines_asked_since_forget_hold_the_current_records(self):
+        for machine in self.built:
+            tables = vars(machine).get("_tables")
+            current = tables is not None and tables.generation == fa.execution._generation
+            assert current == (id(machine) in self.asked)
+            assert list(vars(machine)) == ([] if tables is None else ["_tables"])
 
     @invariant()
     def rows_count_their_steps_within_the_cap(self):
-        for tables in fa.execution._cache.values():
+        for machine in self.asked.values():
+            tables = vars(machine)["_tables"]
             assert tables.steps == sum(map(len, tables.rows.values())) <= fa.execution._MEMO_LIMIT
 
     @invariant()
