@@ -110,7 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("machine", help="path to a machine JSON file")
         if word:
-            p.add_argument("word", nargs="*", help="word symbols, or EMP for the empty word")
+            # a default, or argparse calls the word required
+            p.add_argument(
+                "word", nargs="*", default=[], help="word symbols, or EMP for the empty word"
+            )
         if out:
             p.add_argument("--out", metavar="FILE", help="write DOT here instead of stdout")
         p.set_defaults(func=func)

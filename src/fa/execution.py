@@ -2,9 +2,9 @@
 
 Verdicts come from S_n, the last forward ε-closed state set, an int bit
 mask with bit k for machine.states[k]; only an accepted word runs
-accepting_run's (state, position) search. Each machine keeps its tables
-(_Tables) on itself for as long as it lives, and the last word asked
-about is kept (_asked).
+accepting_run's (state, position) search. Each machine keeps one record
+(_Tables) on itself for as long as it lives: its tables and the last word
+asked of it. Nothing else is kept, so a dropped machine frees everything.
 """
 
 from __future__ import annotations
@@ -56,30 +56,50 @@ class Trace(NamedTuple):
 
 
 class _Tables:
-    """One Machine's tables, each built the first time a call needs it.
+    """One Machine's record: its tables, each built the first time a call
+    needs it, and the last word asked of it.
 
-    ``moves[symbol][state]`` is a dfa's move table.
+    ``moves[symbol][state]`` is a dfa's move table, empty for an ndfa.
     ``applicable[symbol][state]`` lists the rules a pair reading ``symbol``
     can take, in machine order, as (dst, consumed, position) triples;
     ``applicable[None]`` lists the EMP rules alone. ``closures`` maps each
     ndfa state to its EMP-closure, ``row_tables`` holds each symbol's row
     table, and ``rows[symbol][S]`` is the lazy DFA's step from S, ``steps``
-    counting its entries. The first build checks that the start and every
-    rule's ends are states, as make_ndfa does, and a build that raises
-    keeps nothing. The record holds its machine's components, not the
-    machine, so dropping the machine frees it without a collection.
+    counting its entries. ``asked`` is (w, S_n's mask, run) for the last
+    checked word asked of this machine: _end_mask fills it, and
+    accepting_run or a dfa's trace adds the accepting run (None until one
+    is found). Callers read it once and replace it whole, so threads asking
+    different words never pair one word's run with another word's S_n.
+
+    Building the record checks what make_ndfa and make_dfa would: first the
+    start, then a dfa's determinism, then every rule's ends, in machine
+    order. A build that raises keeps nothing. The record holds its
+    machine's components, not the machine, so dropping the machine frees
+    the record and its last word without a collection.
     """
 
     def __init__(self, machine: Machine) -> None:
-        if machine.start not in machine.states:
+        kind, self.states, self.sigma, start, self.finals, self.rules = machine
+        if start not in self.states:
             raise ValidationError(
-                "start-not-in-states", f"start state {machine.start!r} is not in the state set"
+                "start-not-in-states", f"start state {start!r} is not in the state set"
             )
-        _, self.states, self.sigma, _, self.finals, self.rules = machine
+        delta = dfa_delta(self.rules) if kind == DFA else {}
+        names = set(self.states)
+        for src, read, dst in self.rules:
+            if src not in names or dst not in names:
+                raise ValidationError(
+                    "rule-references-unknown-state",
+                    f"transition {(src, read, dst)} mentions an unknown state",
+                )
+        self.moves: dict[str, dict[str, str]] = {}
+        for (src, read), dst in delta.items():
+            self.moves.setdefault(read, {})[src] = dst
         self.generation = _generation
-        self.rows: dict[str, dict[int, int]] = {sym: {} for sym in machine.sigma}
+        self.rows: dict[str, dict[int, int]] = {sym: {} for sym in self.sigma}
         self.steps = 0
         self.row_tables: dict[str, list[int]] = {}
+        self.asked: tuple[Word, int, _Run | None] | None = None
 
     @cached_property
     def bits(self) -> dict[str, int]:
@@ -91,26 +111,13 @@ class _Tables:
         return sum(1 << k for k, q in enumerate(self.states) if q in finals)
 
     @cached_property
-    def moves(self) -> dict[str, dict[str, str]]:
-        moves: dict[str, dict[str, str]] = {}
-        names = set(self.states)
-        for (src, read), dst in dfa_delta(self.rules).items():
-            if src not in names or dst not in names:
-                raise _unknown_state((src, read, dst))
-            moves.setdefault(read, {})[src] = dst
-        return moves
-
-    @cached_property
     def applicable(self) -> dict[str | None, dict[str, tuple[tuple[str, int, int], ...]]]:
         # exact tuples, not the Rules: a loop unpacks a tuple subclass 3x slower
-        names = set(self.states)
         emp: dict[str, list[tuple[str, int, int]]] = {}
         table: dict[str | None, dict[str, list[tuple[str, int, int]]]] = {
             sym: {} for sym in self.sigma
         }
         for k, (src, read, dst) in enumerate(self.rules):
-            if src not in names or dst not in names:
-                raise _unknown_state((src, read, dst))
             if read == EMP:
                 entry = (dst, 0, k)  # one tuple in every list it joins
                 emp.setdefault(src, []).append(entry)
@@ -127,22 +134,10 @@ class _Tables:
         return _closures(self.states, emp)
 
 
-def _unknown_state(rule: tuple[str, str, str]) -> ValidationError:
-    return ValidationError(
-        "rule-references-unknown-state", f"transition {rule} mentions an unknown state"
-    )
-
-
 # _forget() bumps it, so that every record built before is rebuilt on use
 _generation = 0
 # guards each record's rows and row count, and the generation
 _lock = threading.Lock()
-
-# (machine, w, S_n's mask, run) for the last checked word: _end_mask fills it,
-# and accepting_run or a dfa's trace adds the accepting run (None until one is
-# found). Callers read it once and replace it whole, so threads asking
-# different words never pair one word's run with another word's S_n.
-_asked: tuple[Machine, Word, int, _Run | None] | None = None
 
 
 def _tables(machine: Machine) -> _Tables:
@@ -158,11 +153,10 @@ def _tables(machine: Machine) -> _Tables:
 
 
 def _forget() -> None:
-    """Drop every kept table, row and word, as at import."""
-    global _generation, _asked
+    """Retire every kept record, with its tables, rows and last word, as at import."""
+    global _generation
     with _lock:
         _generation += 1
-        _asked = None
 
 
 def accepting_run(machine: Machine, w: Word) -> _Run | None:
@@ -170,18 +164,19 @@ def accepting_run(machine: Machine, w: Word) -> _Run | None:
 
     ``i`` counts the symbols consumed so far, so (q, i) stands for
     Config(q, w[i:]). None means no computation accepts. The run found for
-    the last word is kept next to that word's S_n, so asking again for an
-    equal word on the same machine searches nothing.
+    the machine's last word is kept next to that word's S_n, so asking the
+    same machine again for an equal word searches nothing, whatever other
+    machines were asked in between.
     """
-    global _asked
-    asked = _asked
-    if asked is None or asked[0] is not machine or asked[1] != w:
+    tables = _tables(machine)
+    asked = tables.asked
+    if asked is None or asked[0] != w:
         return _search(machine, w)  # no S_n of w to keep a run next to
-    _, word, ends, run = asked
+    word, ends, run = asked
     if run is None:
         run = _search(machine, w)
         if run is not None:
-            _asked = (machine, word, ends, run)
+            tables.asked = (word, ends, run)
     return run
 
 
@@ -213,10 +208,9 @@ def _search(machine: Machine, w: Word) -> _Run | None:
     return None
 
 
-def _walk(machine: Machine, w: Word) -> int:
-    """S_n's mask for the checked word ``w``; a dfa built directly, never
-    completed, gets its run stuck on a missing move."""
-    tables = _tables(machine)
+def _walk(tables: _Tables, machine: Machine, w: Word) -> int:
+    """S_n's mask for the checked word ``w``, from ``machine``'s record; a dfa
+    built directly, never completed, gets its run stuck on a missing move."""
     if machine.kind == DFA:
         moves, state = tables.moves, machine.start
         try:
@@ -346,14 +340,15 @@ def end_states(machine: Machine, w: Word) -> frozenset[str]:
 
 
 def _end_mask(machine: Machine, w: Word) -> int:
-    """S_n's mask for the checked word ``w``, kept as the last word, so
-    asking again for an equal word on the same machine walks no state set."""
-    global _asked
-    asked = _asked
-    if asked is not None and asked[0] is machine and asked[1] == w:
-        return asked[2]
-    last = _walk(machine, w)
-    _asked = (machine, w, last, None)
+    """S_n's mask for the checked word ``w``, kept as the machine's last word,
+    so asking the same machine again for an equal word walks no state set,
+    whatever other machines were asked in between."""
+    tables = _tables(machine)
+    asked = tables.asked
+    if asked is not None and asked[0] == w:
+        return asked[1]
+    last = _walk(tables, machine, w)
+    tables.asked = (w, last, None)
     return last
 
 
@@ -401,7 +396,6 @@ def show_transitions(machine: Machine, word: Sequence[str]) -> Trace | None:
 
 
 def _dfa_trace(machine: Machine, w: Word) -> Trace:
-    global _asked
     tables = _tables(machine)
     moves, state = tables.moves, machine.start
     steps = [(state, 0)]
@@ -417,7 +411,7 @@ def _dfa_trace(machine: Machine, w: Word) -> Trace:
     accepted = state in machine.finals
     # a dfa has no EMP rule, so S_n is the one state its run ends in, and
     # its one run is the run accepting_run would find
-    _asked = (machine, w, tables.bits[state], run if accepted else None)
+    tables.asked = (w, tables.bits[state], run if accepted else None)
     return Trace(w, run, ACCEPT if accepted else REJECT)
 
 

@@ -274,6 +274,17 @@ class TestApplyCommand:
             assert "missing key" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["apply", "trace", "compgraph"])
+    def test_a_missing_machine_is_the_only_argument_named_required(self, command, capsys):
+        # the word may be empty, so the usage error names only the machine
+        with pytest.raises(SystemExit) as info:
+            main([command])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: machine\n")
+
+
 class TestTraceCommand:
     def test_dfa_accept_trace(self, abstar_file, capsys):
         assert main(["trace", abstar_file, "a", "b"]) == 0

@@ -234,17 +234,18 @@ class TestShowTransitions:
                     action(m, w)
                 assert info.value.code == "nondeterministic-rules"
                 assert str(info.value) == message
+                assert not vars(m)  # a refused machine keeps no record
 
     @pytest.mark.parametrize(
-        "kind,case",
-        # a dfa refuses an EMP rule first, as nondeterministic
-        [("ndfa", case) for case in UNKNOWN_STATE]
-        + [("dfa", case) for case in UNKNOWN_STATE if case != "emp-to"],
+        "kind,case", [(kind, case) for kind in ("ndfa", "dfa") for case in UNKNOWN_STATE]
     )
     def test_directly_built_machine_naming_an_unknown_state_is_refused(self, kind, case):
-        # make_ndfa and make_dfa would refuse it; the first table built checks
+        # make_ndfa and make_dfa would refuse it; building the record checks
         # what they check, so each action refuses it on any word
         start, rules, code, message = UNKNOWN_STATE[case]
+        if (kind, case) == ("dfa", "emp-to"):  # a dfa's determinism is checked first
+            code = "nondeterministic-rules"
+            message = "EMP transition ('T', 'EMP', 'U') is not allowed in a dfa"
         m = Machine(kind, ("S", "T"), ("a",), start, ("T",), rules)
         for action in (apply, show_transitions, build_computation_graph):
             for w in ("", "a"):
@@ -252,6 +253,7 @@ class TestShowTransitions:
                     action(m, w)
                 assert info.value.code == code
                 assert str(info.value) == message
+                assert not vars(m)
 
     def test_ndfa_reject_has_no_trace(self, two_branch):
         assert show_transitions(two_branch, "bb") is None
@@ -411,9 +413,12 @@ def test_accepting_run_reads_the_rule_list_once(two_branch, word):
     # the search groups the rules by source state once, then each pair reads
     # only its state's rules; a scan of every rule per pair iterates once per pair
     rules = CountingRules(two_branch.rules)
-    run = accepting_run(two_branch._replace(rules=rules), tuple(word))
-    assert (run is not None) == (apply(two_branch, word) == ACCEPT)
+    machine = two_branch._replace(rules=rules)
+    fa.execution._tables(machine)  # the record's check reads the rules first
     assert rules.iterations == 1
+    run = accepting_run(machine, tuple(word))
+    assert (run is not None) == (apply(two_branch, word) == ACCEPT)
+    assert rules.iterations == 2
 
 
 # The configuration search that decided words before needed 92.8 MiB
@@ -643,16 +648,16 @@ def agree_under_threads(cases, forget=False):
 
 
 class TestMachineTables:
-    """Each machine keeps its tables for as long as it lives, and the last
-    word asked about is kept: what apply builds and finds (S_n, and an
-    accepting run once a call has searched), the trace and graph on the
-    same machine and an equal word reuse."""
+    """Each machine keeps its tables for as long as it lives, and its last
+    word: what apply builds and finds (S_n, and an accepting run once a call
+    has searched), the trace and graph on the same machine and an equal word
+    reuse, whatever other machines were asked in between."""
 
     @pytest.mark.parametrize(
         "fixture,accepted,rejected,tables",
         [
             ("two_branch", ["abaaba", "abbab"], "bb", 1),  # the search's table; closures read it
-            ("abstar", ["abbb", "a"], "ba", 2),  # moves (with the dfa check); the graph's table
+            ("abstar", ["abbb", "a"], "ba", 2),  # the dfa check, for moves; the graph's table
         ],
     )
     def test_each_table_reads_the_rule_list_once(self, request, fixture, accepted, rejected, tables):
@@ -667,7 +672,7 @@ class TestMachineTables:
         # traversal), so only the decision and the trace are counted here
         assert apply(machine, rejected) == REJECT
         show_transitions(machine, rejected)
-        assert rules.iterations == tables
+        assert rules.iterations == tables + 1  # and once by the record's check
 
     def test_a_machine_never_reads_another_machines_tables(self, two_branch):
         assert three_actions(two_branch, "abbab")[0] == ACCEPT
@@ -676,11 +681,11 @@ class TestMachineTables:
         twin = Machine(*two_branch[:-1], rules)
         assert twin == two_branch and twin is not two_branch
         assert three_actions(twin, "abbab") == three_actions(two_branch, "abbab")
-        assert rules.iterations == 1
+        assert rules.iterations == 2  # the record's check; the search's table
         # switching back to the twin rebuilds nothing
         assert three_actions(twin, "abbab") == three_actions(two_branch, "abbab")
         assert show_transitions(twin, "abaaba").verdict == ACCEPT
-        assert rules.iterations == 1
+        assert rules.iterations == 2
         # a _replace'd machine shares the rule tuple, but never the tables
         fewer = two_branch._replace(rules=tuple(r for r in two_branch.rules if r != ("D", EMP, "S")))
         moved = two_branch._replace(start="B")
@@ -739,7 +744,8 @@ class TestMachineTables:
             pairs.update((k, s, a) for s, a in zip(sets, word))
             dead += not sets[-1]
         assert accepted > 20 and len(asked) == 3
-        assert [m.rules.iterations for m in machines] == [1, 1, 1]  # applicable; moves
+        # the record's check, then applicable; the dfa check, which moves is built from
+        assert [m.rules.iterations for m in machines] == [2, 2, 2]
         assert 0 < later <= len(pairs) + dead
         assert len(pairs) < 100  # the words repeat their steps
 
@@ -797,6 +803,100 @@ class TestMachineTables:
         kept = vars(machine)["_tables"]
         assert list(vars(machine)) == ["_tables"] and kept in builds
         assert all(t is kept for t in used)
+
+    def test_threads_replacing_one_machines_last_word_keep_each_word_with_its_own_end_states(
+        self, two_branch, monkeypatch
+    ):
+        # each read of the record's last word waits, so that other threads
+        # replace it meanwhile; a call that read it twice would pair its own
+        # word with another word's S_n
+        words = [tuple("abaaba"), tuple("bb")]  # accepted and rejected: different S_n
+        expected = [(apply(two_branch, w), end_states(two_branch, w)) for w in words]
+        assert expected[0] != expected[1]
+
+        class Slow(fa.execution._Tables):
+            @property
+            def asked(self):
+                value = self.__dict__["asked"]
+                time.sleep(0.002)
+                return value
+
+            @asked.setter
+            def asked(self, value):
+                self.__dict__["asked"] = value
+
+        monkeypatch.setattr(fa.execution, "_Tables", Slow)
+        machine = Machine(*two_branch)
+        start = threading.Barrier(4)
+        results = {}
+
+        def worker(k):
+            w = words[k % 2]
+            start.wait()
+            results[k] = [(apply(machine, w), end_states(machine, w)) for _ in range(30)]
+
+        in_four_threads(worker)
+        assert sorted(results) == [0, 1, 2, 3]
+        for k, got in results.items():
+            assert got == [expected[k % 2]] * 30
+        assert type(vars(machine)["_tables"]) is Slow
+
+    def test_threads_that_find_one_stale_record_each_replace_it(self, two_branch, monkeypatch):
+        # every thread reads the generation of the record _forget() left stale
+        # at about the same time, so each replaces the record while the others
+        # do, and none stores its new record before the others find the old one
+        words = ["abaaba", "abbab", "bb", "", "ab"]
+        expected = [three_actions(two_branch, w) for w in words]
+
+        class Slow(fa.execution._Tables):
+            def __init__(self, machine):
+                time.sleep(0.01)
+                super().__init__(machine)
+
+            @property
+            def generation(self):
+                value = self.__dict__["generation"]
+                if value != fa.execution._generation:
+                    time.sleep(0.01)  # the other threads find the same stale record meanwhile
+                return value
+
+            @generation.setter
+            def generation(self, value):
+                self.__dict__["generation"] = value
+
+        monkeypatch.setattr(fa.execution, "_Tables", Slow)
+        machine = Machine(*two_branch)
+        assert three_actions(machine, words[0]) == expected[0]
+        forget_tables()
+        start = threading.Barrier(4)
+        results = {}
+
+        def worker(k):
+            start.wait()
+            results[k] = [three_actions(machine, w) for w in words]
+
+        in_four_threads(worker)
+        assert sorted(results) == [0, 1, 2, 3]
+        assert all(got == expected for got in results.values())
+        assert list(vars(machine)) == ["_tables"]
+        assert vars(machine)["_tables"].generation == fa.execution._generation
+
+    def test_machines_asked_in_turn_keep_their_own_last_words(self, two_branch, monkeypatch):
+        # a student asks an ndfa, then its dfa, then the ndfa's graph: the ndfa
+        # kept its word's S_n and run, so the graph walks and searches nothing
+        x, y, word = Machine(*two_branch), subset_dfa(two_branch), "abaaba"
+        calls = count_calls(monkeypatch, ["_search", "_walk"])
+        assert apply(x, word) == ACCEPT
+        trace = show_transitions(x, word)
+        assert apply(y, word) == ACCEPT
+        assert show_transitions(y, word).verdict == ACCEPT
+        assert calls == {"_search": 1, "_walk": 2}
+        graph = build_computation_graph(x, word)
+        assert calls == {"_search": 1, "_walk": 2}
+        assert graph == fresh(build_computation_graph, x, word)
+        assert {e[:3] for e in graph.edges} == {
+            (p, EMP if i == j else word[i], q) for (p, i), (q, j) in zip(trace.run, trace.run[1:])
+        }
 
     def test_one_machine_asked_many_words_matches_a_cache_reset_before_every_call(self):
         cases = same_machine_cases(seed=31)
@@ -856,10 +956,10 @@ class TestMachineTables:
         graph = build_computation_graph(two_branch, v)
         assert graph == fresh(build_computation_graph, two_branch, v)
 
-    def test_a_dropped_machine_leaves_only_the_last_word_behind(self):
+    def test_a_dropped_machine_leaves_nothing_behind(self):
         def kept(seeds):
-            """Traced bytes still held after deciding and tracing each machine in turn,
-            and the bytes that forgetting the last word then frees."""
+            """Traced bytes held once each machine in turn is decided and traced,
+            while the last one lives, and once it too is dropped."""
             forget_tables()
             tracemalloc.start()
             try:
@@ -869,21 +969,21 @@ class TestMachineTables:
                     machine, word = walked_ndfa(seed, length=24, size=150)
                     assert apply(machine, word) == ACCEPT
                     assert show_transitions(machine, word).verdict == ACCEPT
+                gc.collect()
+                alive = tracemalloc.get_traced_memory()[0] - start
                 del machine, word
                 gc.collect()
-                held = tracemalloc.get_traced_memory()[0]
-                forget_tables()
-                return held - start, held - tracemalloc.get_traced_memory()[0]
+                return alive, tracemalloc.get_traced_memory()[0] - start
             finally:
                 tracemalloc.stop()
 
-        one, one_asked = kept([99])
-        many, many_asked = kept(range(100))
-        # the hundredth machine is the one measured alone: the last word holds
-        # it and its tables, and the 99 before it leave nothing behind
-        assert 0 < one_asked <= one
-        assert many_asked <= 1.1 * one_asked
-        assert many <= one + 0.1 * one_asked
+        one, one_left = kept([99])
+        many, many_left = kept(range(100))
+        # the hundredth machine is the one measured alone; while it lives it
+        # holds its tables and last word, and the 99 before it hold nothing
+        assert 0 < one and many <= 1.1 * one
+        # dropped, it takes its tables, run and last word with it
+        assert one_left <= 0.1 * one and many_left <= 0.1 * one
 
     def test_a_dropped_machines_tables_are_freed_without_a_collection(self):
         forget_tables()
@@ -899,16 +999,16 @@ class TestMachineTables:
                 assert show_transitions(machine, word).verdict == ACCEPT
                 tables = vars(machine)["_tables"]
                 assert tables.steps == sum(map(len, tables.rows.values())) <= fa.execution._MEMO_LIMIT
+                assert tables.asked[0] == word and tables.asked[2] is not None
                 if seed % 10 == 0:
                     kept.append(machine)  # the caller keeps every tenth machine
                 else:
                     dropped.append(weakref.ref(tables))
                 del machine, word, tables
-            # the last word holds the last machine, and with it its tables
-            assert all(r() is None for r in dropped[:-1]) and dropped[-1]() is not None
+            # the last machine asked included: nothing but a machine holds its record
+            assert len(dropped) == 90 and all(r() is None for r in dropped)
             left = {id(t) for t in gc.get_objects() if isinstance(t, fa.execution._Tables)}
-            held = kept + [fa.execution._asked[0]]
-            assert left - before.keys() == {id(vars(m)["_tables"]) for m in held}
+            assert left - before.keys() == {id(vars(m)["_tables"]) for m in kept}
         finally:
             gc.enable()
             forget_tables()
@@ -1012,10 +1112,11 @@ class TestRowTable:
             word = tuple(draw_word(rng, machine, regex, max_len=12))
             forget_tables()
             misses["_step"] = 0
-            first = fa.execution._walk(machine, word)  # end_states would reuse the word
+            tables = fa.execution._tables(machine)
+            first = fa.execution._walk(tables, machine, word)  # end_states would reuse the word
             walked += misses["_step"] > 0
             misses["_step"] = 0
-            assert fa.execution._walk(machine, word) == first
+            assert fa.execution._walk(tables, machine, word) == first
             # the empty set is never kept, so a walk that died misses its last step again
             assert misses["_step"] == (machine.kind == "ndfa" and not first)
         assert walked > 10

@@ -3,8 +3,8 @@
 Hypothesis drives interleavings of machines, equal twins, words spelled as
 str, list or tuple, the five actions and _forget() under small and default
 row caps. Every answer is checked against tests/helpers.py's cache-free
-oracles, and after every step each machine's record and the last word
-asked about are checked against what they must hold.
+oracles, and after every step each machine's record, with the last word
+asked of it, is checked against what it must hold.
 """
 
 import random
@@ -203,12 +203,13 @@ class KeptState(RuleBasedStateMachine):
             assert tables.steps == sum(map(len, tables.rows.values())) <= fa.execution._MEMO_LIMIT
 
     @invariant()
-    def the_last_word_keeps_its_own_end_states_and_run(self):
-        if fa.execution._asked is None:
-            return
-        machine, word, ends, run = fa.execution._asked
-        assert ends == mask(machine, forward_sets(machine, word)[-1])
-        assert run is None or run == first_run(machine, word)
+    def each_last_word_keeps_its_own_end_states_and_run(self):
+        for machine in self.asked.values():
+            asked = vars(machine)["_tables"].asked
+            if asked is not None:
+                word, ends, run = asked
+                assert ends == mask(machine, forward_sets(machine, word)[-1])
+                assert run is None or run == first_run(machine, word)
 
 
 KeptState.TestCase.settings = settings(
